@@ -9,10 +9,12 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -20,6 +22,7 @@
 #include "driver/eval_grid.hpp"
 #include "obs/json.hpp"
 #include "regalloc/regalloc.hpp"
+#include "support/string_util.hpp"
 #include "vgpu/sim.hpp"
 #include "workloads/harness.hpp"
 
@@ -262,6 +265,14 @@ inline int bench_main(int argc, char** argv, const char* binary_name, void (*run
     }
     regalloc::set_default_spill_mem(m);
   };
+  auto parse_int_flag = [](const char* flag, const char* text) {
+    const std::optional<long long> v = parse_int_strict(text);
+    if (!v || *v < INT_MIN || *v > INT_MAX) {
+      std::fprintf(stderr, "bench: %s expects an integer, got '%s'\n", flag, text);
+      std::exit(2);
+    }
+    return static_cast<int>(*v);
+  };
   int out = 1;
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
@@ -271,15 +282,15 @@ inline int bench_main(int argc, char** argv, const char* binary_name, void (*run
     } else if (arg.rfind("--json=", 0) == 0) {
       json_path = arg.substr(7);
     } else if (arg == "--sim-threads" && i + 1 < argc) {
-      vgpu::set_sim_threads(std::atoi(argv[i + 1]));
+      vgpu::set_sim_threads(parse_int_flag("--sim-threads", argv[i + 1]));
       ++i;
     } else if (arg.rfind("--sim-threads=", 0) == 0) {
-      vgpu::set_sim_threads(std::atoi(arg.c_str() + 14));
+      vgpu::set_sim_threads(parse_int_flag("--sim-threads", arg.c_str() + 14));
     } else if (arg == "--grid-threads" && i + 1 < argc) {
-      driver::set_grid_threads(std::atoi(argv[i + 1]));
+      driver::set_grid_threads(parse_int_flag("--grid-threads", argv[i + 1]));
       ++i;
     } else if (arg.rfind("--grid-threads=", 0) == 0) {
-      driver::set_grid_threads(std::atoi(arg.c_str() + 15));
+      driver::set_grid_threads(parse_int_flag("--grid-threads", arg.c_str() + 15));
     } else if (arg == "--sim-dispatch" && i + 1 < argc) {
       set_dispatch(argv[i + 1]);
       ++i;

@@ -129,11 +129,11 @@ struct CompiledProgram {
 /// what compile() (or a simulation of its output) produces: persona, pass
 /// toggles, clause handling, opt level, SAFARA/unroll/Carr-Kennedy knobs,
 /// the regalloc configuration (strategy, max-regs cap, spill backing store),
-/// and the full device model including its latency table. The service disk
-/// cache (src/service) keys entries on this plus the canonical AST hash, so
-/// an entry compiled under one option tuple can never answer a request made
-/// under another. Deliberately excluded: safara_feedback_cache (memoization
-/// on/off produces identical results by contract, guarded by tests).
+/// and the full device model including its latency table. Any memo keyed on
+/// this (plus the canonical AST hash) can never answer a compile made under
+/// one option tuple with a result produced under another. Deliberately
+/// excluded: safara_feedback_cache (memoization on/off produces identical
+/// results by contract, guarded by tests).
 std::uint64_t options_fingerprint(const CompilerOptions& opts);
 
 /// Canonical VIR dump of every kernel in the program: the `ptxas -v`

@@ -1,6 +1,7 @@
 // Compiler-driver API tests: error paths, persona behaviour, multi-region
-// programs, reports, and the paper-table structural facts the benches rely
-// on (seismic has 7 kernels, sp has 10, register orderings hold).
+// programs, reports, the option fingerprint, and the paper-table structural
+// facts the benches rely on (seismic has 7 kernels, sp has 10, register
+// orderings hold).
 #include <gtest/gtest.h>
 
 #include "ast/printer.hpp"
@@ -225,6 +226,38 @@ TEST(FeedbackCache, RepeatCompilesHitTheCacheWithoutChangingResults) {
   const auto* reanalyses = counters->find("safara.sema_reanalyses");
   ASSERT_NE(reanalyses, nullptr);
   EXPECT_EQ(reanalyses->as_int(), counters->find("safara.iterations")->as_int());
+}
+
+// -- option fingerprint ---------------------------------------------------------
+
+TEST(CacheKey, OptionsFingerprintCoversAllocatorAndDevice) {
+  driver::CompilerOptions a = driver::CompilerOptions::openuh_safara_clauses();
+  const std::uint64_t base = driver::options_fingerprint(a);
+
+  driver::CompilerOptions b = a;
+  b.regalloc.max_registers = 17;
+  EXPECT_NE(base, driver::options_fingerprint(b));
+  b = a;
+  b.regalloc.strategy = regalloc::Strategy::kLinear;
+  EXPECT_NE(base, driver::options_fingerprint(b));
+  b = a;
+  b.regalloc.spill_mem = regalloc::SpillMem::kShared;
+  EXPECT_NE(base, driver::options_fingerprint(b));
+  b = a;
+  b.opt_level = 0;
+  EXPECT_NE(base, driver::options_fingerprint(b));
+  b = a;
+  b.safara.max_registers -= 1;
+  EXPECT_NE(base, driver::options_fingerprint(b));
+  b = a;
+  b.device.max_registers_per_thread += 1;
+  EXPECT_NE(base, driver::options_fingerprint(b));
+
+  // The memoization toggle is contractually invisible in results, so it is
+  // deliberately NOT part of the fingerprint.
+  b = a;
+  b.safara_feedback_cache = !b.safara_feedback_cache;
+  EXPECT_EQ(base, driver::options_fingerprint(b));
 }
 
 }  // namespace

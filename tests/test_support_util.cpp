@@ -10,8 +10,6 @@
 
 #include "parse/parser.hpp"
 #include "rt/host_eval.hpp"
-#include "service/service.hpp"
-#include "service/store.hpp"
 #include "support/diagnostics.hpp"
 #include "support/string_util.hpp"
 #include "support/thread_pool.hpp"
@@ -94,44 +92,6 @@ TEST(StringUtil, EnvIntParsesStrictly) {
   ::setenv("SAFARA_TEST_ENV_INT", "", 1);
   EXPECT_EQ(env_int("SAFARA_TEST_ENV_INT"), std::nullopt);
   ::unsetenv("SAFARA_TEST_ENV_INT");
-}
-
-// -- service environment knobs ------------------------------------------------
-//
-// The compile service reads its knobs through the same strict env_int path:
-// a typo'd value warns and falls back to the default, never a silent zero.
-
-TEST(ServiceEnv, CacheDirOverridesDefaultRoot) {
-  ::setenv("SAFARA_CACHE_DIR", "/tmp/safara-env-test-root", 1);
-  EXPECT_EQ(service::DiskStore::default_root(), "/tmp/safara-env-test-root");
-  EXPECT_EQ(service::ServiceConfig::from_env().cache_dir,
-            "/tmp/safara-env-test-root");
-  ::unsetenv("SAFARA_CACHE_DIR");
-}
-
-TEST(ServiceEnv, CacheMaxMbWarnsAndFallsBackOnBadValues) {
-  const std::uint64_t kDefault = service::ServiceConfig{}.cache_max_bytes;
-  ::setenv("SAFARA_CACHE_MAX_MB", "64", 1);
-  EXPECT_EQ(service::ServiceConfig::from_env().cache_max_bytes, 64ull << 20);
-  ::setenv("SAFARA_CACHE_MAX_MB", "64MB", 1);  // malformed: warn, keep default
-  EXPECT_EQ(service::ServiceConfig::from_env().cache_max_bytes, kDefault);
-  ::setenv("SAFARA_CACHE_MAX_MB", "-5", 1);  // out of range: warn, keep default
-  EXPECT_EQ(service::ServiceConfig::from_env().cache_max_bytes, kDefault);
-  ::setenv("SAFARA_CACHE_MAX_MB", "0", 1);
-  EXPECT_EQ(service::ServiceConfig::from_env().cache_max_bytes, kDefault);
-  ::unsetenv("SAFARA_CACHE_MAX_MB");
-  EXPECT_EQ(service::ServiceConfig::from_env().cache_max_bytes, kDefault);
-}
-
-TEST(ServiceEnv, ServiceThreadsWarnsAndFallsBackOnBadValues) {
-  ::setenv("SAFARA_SERVICE_THREADS", "3", 1);
-  EXPECT_EQ(service::ServiceConfig::from_env().threads, 3);
-  ::setenv("SAFARA_SERVICE_THREADS", "lots", 1);  // malformed
-  EXPECT_EQ(service::ServiceConfig::from_env().threads, 0);
-  ::setenv("SAFARA_SERVICE_THREADS", "-2", 1);  // out of range
-  EXPECT_EQ(service::ServiceConfig::from_env().threads, 0);
-  ::unsetenv("SAFARA_SERVICE_THREADS");
-  EXPECT_EQ(service::ServiceConfig::from_env().threads, 0);
 }
 
 TEST(StringUtil, StartsWithAndJoin) {

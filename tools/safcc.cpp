@@ -21,26 +21,22 @@
 //   safcc --workload 355.seismic --sim-profile-out=p.json
 //                                          # machine-readable attribution
 //                                          # document (safara.sim_profile/v1)
-#include <cerrno>
 #include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <algorithm>
-#include <cstring>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include <unistd.h>
-
 #include "ast/printer.hpp"
 #include "driver/compiler.hpp"
 #include "obs/collector.hpp"
-#include "service/protocol.hpp"
-#include "service/service.hpp"
 #include "support/arena.hpp"
+#include "support/string_util.hpp"
 #include "regalloc/regalloc.hpp"
 #include "vir/vir.hpp"
 #include "workloads/harness.hpp"
@@ -60,20 +56,18 @@ void usage() {
                "             [--time-passes] [--alloc-stats] [--workload NAME] [--sim-profile]\n"
                "             [--sim-profile-out=FILE] [--annotate]\n"
                "             [--sim-threads N] [--sim-dispatch super|ref] [--sim-compare]\n"
-               "             [--simulate] [--remote=SOCKET]\n");
+               "             [--simulate]\n");
 }
 
 /// Strict integer parsing for flag values: the whole token must be a number.
 /// (std::atoi silently turns "abc" into 0, which used to disable the flag.)
 int parse_int_flag(const char* flag, const char* value) {
-  char* end = nullptr;
-  errno = 0;
-  long v = std::strtol(value, &end, 10);
-  if (end == value || *end != '\0' || errno == ERANGE || v < INT_MIN || v > INT_MAX) {
+  const std::optional<long long> v = parse_int_strict(value);
+  if (!v || *v < INT_MIN || *v > INT_MAX) {
     std::fprintf(stderr, "safcc: %s expects an integer, got '%s'\n", flag, value);
     std::exit(2);
   }
-  return static_cast<int>(v);
+  return static_cast<int>(*v);
 }
 
 bool write_file(const std::string& path, const std::string& contents) {
@@ -84,6 +78,50 @@ bool write_file(const std::string& path, const std::string& contents) {
   }
   out << contents;
   return out.good();
+}
+
+// -- the standard report ------------------------------------------------------
+
+/// Header line, per-kernel ptxas lines, unroll / safara / verify-clauses
+/// notes, and (when a workload ran) the cycles + checksum line.
+void print_report(const driver::CompiledProgram& prog, const std::string& config,
+                  bool ran_workload, const std::string& input_label,
+                  const workloads::RunResult& run) {
+  std::printf("safcc: compiled %zu kernel(s) from '%s' [config %s]\n", prog.kernels.size(),
+              prog.function_name.c_str(), config.c_str());
+  for (const driver::CompiledKernel& k : prog.kernels) {
+    std::printf("%s\n", k.ptxas_info().c_str());
+  }
+  if (prog.unroll.loops_unrolled > 0) {
+    std::printf("unroll: %d loop(s) unrolled\n", prog.unroll.loops_unrolled);
+  }
+  for (const auto& region : prog.safara.regions) {
+    for (const auto& line : region.log) std::printf("safara: %s\n", line.c_str());
+  }
+  if (prog.fallback) {
+    std::printf("verify-clauses: fallback kernels compiled (");
+    for (std::size_t i = 0; i < prog.fallback->kernels.size(); ++i) {
+      std::printf("%s%d regs", i ? ", " : "", prog.fallback->kernels[i].alloc.regs_used);
+    }
+    std::printf(")\n");
+  }
+  if (ran_workload) {
+    std::printf("\nworkload %s: %llu cycles, checksum %.6g\n", input_label.c_str(),
+                static_cast<unsigned long long>(run.cycles), run.checksum);
+  }
+}
+
+/// The `--emit-source` / `--emit-vir` trailing sections.
+void print_emits(const driver::CompiledProgram& prog, bool emit_source, bool emit_vir) {
+  if (emit_source) {
+    std::printf("\n---- post-optimization source ----\n%s",
+                ast::to_source(*prog.transformed).c_str());
+  }
+  if (emit_vir) {
+    for (const driver::CompiledKernel& k : prog.kernels) {
+      std::printf("\n---- %s ----\n%s", k.name.c_str(), vir::to_string(k.kernel).c_str());
+    }
+  }
 }
 
 // -- the safara.sim_profile/v1 attribution document --------------------------
@@ -470,17 +508,14 @@ int main(int argc, char** argv) {
   bool sim_compare = false;
   bool annotate = false;
   bool simulate = false;
-  std::string remote;  // --remote=SOCKET: forward the job to a safccd
   int unroll = 0;
   int max_regs = 0;
   int opt_level = -1;  // -1: keep the CompilerOptions default
   bool verify = false;
   bool have_regalloc = false;
   regalloc::Strategy regalloc_strategy = regalloc::Strategy::kColor;
-  std::string regalloc_value;  // raw spelling, forwarded by --remote
   bool have_spill_mem = false;
   regalloc::SpillMem spill_mem = regalloc::SpillMem::kLocal;
-  std::string spill_mem_value;
 
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
@@ -541,7 +576,6 @@ int main(int argc, char** argv) {
         return 2;
       }
       have_regalloc = true;
-      regalloc_value = value;
       continue;
     }
     if (eat_value("--spill-mem", &value)) {
@@ -552,7 +586,6 @@ int main(int argc, char** argv) {
         return 2;
       }
       have_spill_mem = true;
-      spill_mem_value = value;
       continue;
     }
     if (eat_value("--opt-level", &value)) {
@@ -564,7 +597,6 @@ int main(int argc, char** argv) {
       }
       continue;
     }
-    if (eat_value("--remote", &remote)) continue;
     if (arg == "--emit-vir") emit_vir = true;
     else if (arg == "--dump-vir") dump_vir = true;
     else if (arg == "--emit-source") emit_source = true;
@@ -611,90 +643,6 @@ int main(int argc, char** argv) {
                  "safcc: --simulate needs a runnable input; use --workload NAME "
                  "(a file alone has no dataset to launch with)\n");
     return 2;
-  }
-  if (!remote.empty() &&
-      (!trace_out.empty() || !metrics_out.empty() || time_passes || alloc_stats ||
-       profiling || sim_compare)) {
-    std::fprintf(stderr,
-                 "safcc: --remote carries only the compile+simulate surface; "
-                 "observability flags (--trace-out, --metrics-out, --time-passes, "
-                 "--alloc-stats, --sim-profile, --sim-profile-out, --annotate, "
-                 "--sim-compare) run in-process\n");
-    return 2;
-  }
-
-  // --remote: forward the job to a safccd and print its response verbatim.
-  // The daemon renders with the same code as the in-process path below, so
-  // the bytes match exactly (tools/service_soak.py holds it to that).
-  if (!remote.empty()) {
-    service::CompileRequest req;
-    if (!workload_name.empty()) {
-      req.workload = workload_name;
-      req.simulate = simulate;
-    } else {
-      std::ifstream in(path);
-      if (!in) {
-        std::fprintf(stderr, "safcc: cannot open '%s'\n", path.c_str());
-        return 1;
-      }
-      std::ostringstream buf;
-      buf << in.rdbuf();
-      req.source = buf.str();
-      req.fn = fn_name;
-    }
-    req.config = config;
-    req.opt_level = opt_level;
-    req.unroll = unroll;
-    req.max_regs = max_regs;
-    req.regalloc = regalloc_value;
-    req.spill_mem = spill_mem_value;
-    req.verify_clauses = verify;
-    req.dump_vir = dump_vir;
-    req.emit_source = emit_source;
-    req.emit_vir = emit_vir;
-
-    obs::json::Value msg = obs::json::Value::object();
-    msg["op"] = obs::json::Value("compile");
-    msg["id"] = obs::json::Value(1);
-    msg["request"] = req.to_json();
-
-    std::string err;
-    const int fd = service::connect_unix(remote, &err, /*recv_timeout_ms=*/120000);
-    if (fd < 0) {
-      std::fprintf(stderr, "safcc: %s\n", err.c_str());
-      return 1;
-    }
-    if (!service::write_frame(fd, msg.dump(), &err)) {
-      std::fprintf(stderr, "safcc: %s\n", err.c_str());
-      ::close(fd);
-      return 1;
-    }
-    service::FrameResult resp = service::read_frame(fd);
-    ::close(fd);
-    if (!resp.ok()) {
-      std::fprintf(stderr, "safcc: %s\n", resp.error.c_str());
-      return 1;
-    }
-    obs::json::Value doc;
-    if (!service::parse_frame_json(resp.payload, doc, &err)) {
-      std::fprintf(stderr, "safcc: %s\n", err.c_str());
-      return 1;
-    }
-    const obs::json::Value* ok = doc.find("ok");
-    if (!ok || !ok->is_bool() || !ok->as_bool()) {
-      const obs::json::Value* e = doc.find("error");
-      std::fprintf(stderr, "safcc: %s\n",
-                   e && e->is_string() ? e->as_string().c_str()
-                                       : "malformed response from safccd");
-      return 1;
-    }
-    const obs::json::Value* text = doc.find("text");
-    if (!text || !text->is_string()) {
-      std::fprintf(stderr, "safcc: malformed response from safccd (no text)\n");
-      return 1;
-    }
-    std::fputs(text->as_string().c_str(), stdout);
-    return 0;
   }
 
   driver::CompilerOptions opts;
@@ -777,12 +725,7 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  // The standard report, via the renderer the compile service shares: local
-  // and remote invocations must print byte-identical output (src/service).
-  std::fputs(
-      service::render_report(prog, config, ran_workload, input_label, run_result)
-          .c_str(),
-      stdout);
+  print_report(prog, config, ran_workload, input_label, run_result);
   if (profiling) {
     const obs::json::Value profile_doc =
         build_profile_doc(prog, collector, input_label, config);
@@ -793,7 +736,7 @@ int main(int argc, char** argv) {
       std::printf("profile: wrote %s\n", sim_profile_out.c_str());
     }
   }
-  std::fputs(service::render_emits(prog, emit_source, emit_vir).c_str(), stdout);
+  print_emits(prog, emit_source, emit_vir);
   if (time_passes) {
     std::printf("\n%s", collector.tracer.time_report().c_str());
   }

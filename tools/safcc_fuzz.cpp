@@ -10,15 +10,16 @@
 // Exit codes: 0 all oracles agreed; 1 divergences found; 2 usage error.
 // --json FILE writes the full report (including reduced reproducers) for CI
 // to archive.
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <string>
 
 #include "fuzz/fuzz.hpp"
 #include "fuzz/generator.hpp"
+#include "support/string_util.hpp"
 
 using namespace safara;
 
@@ -30,18 +31,16 @@ void usage() {
                "                  [--corpus-dir DIR] [--reduce] [--inject-miscompile]\n"
                "                  [--json FILE] [--emit-seed N]\n"
                "oracles: roundtrip ref-vs-sim safara-on-off dispatch threads "
-               "opt-vs-noopt linear-vs-color\n");
+               "opt-vs-noopt linear-vs-color spillmem-local-vs-shared\n");
 }
 
 long long parse_int_flag(const char* flag, const char* value) {
-  char* end = nullptr;
-  errno = 0;
-  long long v = std::strtoll(value, &end, 10);
-  if (end == value || *end != '\0' || errno == ERANGE) {
+  const std::optional<long long> v = parse_int_strict(value);
+  if (!v) {
     std::fprintf(stderr, "safcc-fuzz: %s expects an integer, got '%s'\n", flag, value);
     std::exit(2);
   }
-  return v;
+  return *v;
 }
 
 }  // namespace
