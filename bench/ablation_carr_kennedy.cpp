@@ -43,15 +43,17 @@ workloads::Workload make_microbench() {
   return w;
 }
 
-void run() {
+void run(const driver::RunOptions& flags) {
   workloads::Workload w = make_microbench();
 
-  driver::CompilerOptions ck = driver::CompilerOptions::openuh_base();
+  driver::CompilerOptions ck = driver::CompilerOptions::openuh_base(flags.compiler);
   ck.enable_carr_kennedy = true;
 
-  auto grid = run_grid(w, {{"base", driver::CompilerOptions::openuh_base()},
-                           {"ck", ck},
-                           {"safara", driver::CompilerOptions::openuh_safara()}});
+  auto grid = run_grid(w,
+                       {{"base", driver::CompilerOptions::openuh_base(flags.compiler)},
+                        {"ck", ck},
+                        {"safara", driver::CompilerOptions::openuh_safara(flags.compiler)}},
+                       flags.sim);
   const workloads::RunResult& base = grid.at("base");
   const workloads::RunResult& ck_res = grid.at("ck");
   const workloads::RunResult& saf = grid.at("safara");

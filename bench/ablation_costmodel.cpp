@@ -51,26 +51,28 @@ workloads::Workload make_microbench() {
   return w;
 }
 
-void run() {
+void run(const driver::RunOptions& flags) {
   workloads::Workload w = make_microbench();
 
   // Find the base register count, then grant a budget with room for only one
   // of the two groups (the coalesced one needs 4 scalars, the uncoalesced 3).
-  driver::Compiler probe(driver::CompilerOptions::openuh_base());
+  driver::Compiler probe(driver::CompilerOptions::openuh_base(flags.compiler));
   auto base_prog = probe.compile(w.source, w.function);
   const int base_regs = base_prog.kernels[0].alloc.regs_used;
   const int budget = base_regs + 4;
 
-  driver::CompilerOptions with_model = driver::CompilerOptions::openuh_safara();
+  driver::CompilerOptions with_model = driver::CompilerOptions::openuh_safara(flags.compiler);
   with_model.safara.max_registers = budget;
   with_model.safara.use_cost_model = true;
 
   driver::CompilerOptions count_only = with_model;
   count_only.safara.use_cost_model = false;
 
-  auto grid = run_grid(w, {{"base", driver::CompilerOptions::openuh_base()},
-                           {"lxc", with_model},
-                           {"count", count_only}});
+  auto grid = run_grid(w,
+                       {{"base", driver::CompilerOptions::openuh_base(flags.compiler)},
+                        {"lxc", with_model},
+                        {"count", count_only}},
+                       flags.sim);
   const workloads::RunResult& base = grid.at("base");
   const workloads::RunResult& lxc = grid.at("lxc");
   const workloads::RunResult& cnt = grid.at("count");

@@ -62,24 +62,25 @@ workloads::Workload make_microbench() {
   return w;
 }
 
-void run() {
+void run(const driver::RunOptions& flags) {
   workloads::Workload w = make_microbench();
 
   // Baseline with the clauses already applied, so the sweep isolates the
   // feedback loop itself.
-  driver::Compiler probe(driver::CompilerOptions::openuh_small_dim());
+  driver::Compiler probe(driver::CompilerOptions::openuh_small_dim(flags.compiler));
   auto base_prog = probe.compile(w.source, w.function);
   const int base_regs = base_prog.kernels[0].alloc.regs_used;
   const int budget = base_regs + 20;  // generous: iterations limited by visibility, not budget
 
-  std::vector<NamedConfig> configs = {{"base", driver::CompilerOptions::openuh_small_dim()}};
+  std::vector<NamedConfig> configs = {
+      {"base", driver::CompilerOptions::openuh_small_dim(flags.compiler)}};
   for (int iters : {1, 2, 4, 8}) {
-    driver::CompilerOptions opts = driver::CompilerOptions::openuh_safara_clauses();
+    driver::CompilerOptions opts = driver::CompilerOptions::openuh_safara_clauses(flags.compiler);
     opts.safara.max_registers = budget;
     opts.safara.max_iterations = iters;
     configs.push_back({"iters" + std::to_string(iters), opts});
   }
-  auto grid = run_grid(w, configs);
+  auto grid = run_grid(w, configs, flags.sim);
   const workloads::RunResult& base = grid.at("base");
 
   TablePrinter table({"max iters", "groups", "final regs", "cycles", "speedup"}, 14);
@@ -88,7 +89,7 @@ void run() {
                    std::to_string(base.cycles), "1.00"});
 
   for (int iters : {1, 2, 4, 8}) {
-    driver::CompilerOptions opts = driver::CompilerOptions::openuh_safara_clauses();
+    driver::CompilerOptions opts = driver::CompilerOptions::openuh_safara_clauses(flags.compiler);
     opts.safara.max_registers = budget;
     opts.safara.max_iterations = iters;
     const workloads::RunResult& res = grid.at("iters" + std::to_string(iters));
@@ -107,7 +108,7 @@ void run() {
   }
 
   // Show the feedback trace of the full run, as the pass reports it.
-  driver::CompilerOptions opts = driver::CompilerOptions::openuh_safara_clauses();
+  driver::CompilerOptions opts = driver::CompilerOptions::openuh_safara_clauses(flags.compiler);
   opts.safara.max_registers = budget;
   driver::Compiler compiler(opts);
   auto prog = compiler.compile(w.source, w.function);

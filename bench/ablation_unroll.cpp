@@ -7,19 +7,20 @@
 namespace safara::bench {
 namespace {
 
-void run() {
+void run(const driver::RunOptions& flags) {
   const workloads::Workload* w = workloads::find_workload("355.seismic");
 
   std::vector<NamedConfig> rows;
-  rows.push_back({"small+dim", driver::CompilerOptions::openuh_small_dim()});
-  rows.push_back({"small+dim+SAFARA", driver::CompilerOptions::openuh_safara_clauses()});
+  rows.push_back({"small+dim", driver::CompilerOptions::openuh_small_dim(flags.compiler)});
+  rows.push_back(
+      {"small+dim+SAFARA", driver::CompilerOptions::openuh_safara_clauses(flags.compiler)});
   for (int factor : {2, 4}) {
-    driver::CompilerOptions o = driver::CompilerOptions::openuh_safara_clauses();
+    driver::CompilerOptions o = driver::CompilerOptions::openuh_safara_clauses(flags.compiler);
     o.enable_unroll = true;
     o.unroll.factor = factor;
     rows.push_back({"  + unroll x" + std::to_string(factor), o});
   }
-  auto grid = run_grid(*w, rows);
+  auto grid = run_grid(*w, rows, flags.sim);
 
   TablePrinter table({"config", "cycles", "speedup", "regs", "occupancy", "loads"}, 16);
   table.print_header("Unroll ablation on 355.seismic (baseline: small+dim)");

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "driver/eval_grid.hpp"
+#include "driver/run_options.hpp"
 #include "obs/json.hpp"
 #include "regalloc/regalloc.hpp"
 #include "support/string_util.hpp"
@@ -32,17 +33,6 @@ struct NamedConfig {
   std::string name;
   driver::CompilerOptions options;
 };
-
-inline std::vector<NamedConfig> paper_configs() {
-  return {
-      {"base", driver::CompilerOptions::openuh_base()},
-      {"small", driver::CompilerOptions::openuh_small()},
-      {"small+dim", driver::CompilerOptions::openuh_small_dim()},
-      {"SAFARA", driver::CompilerOptions::openuh_safara()},
-      {"small+dim+SAFARA", driver::CompilerOptions::openuh_safara_clauses()},
-      {"PGI-like", driver::CompilerOptions::pgi_like()},
-  };
-}
 
 /// Fixed-width table printer (matches the style of the paper's tables).
 class TablePrinter {
@@ -81,12 +71,13 @@ inline void note_grid_parallelism(int parallelism);
 
 /// Evaluates every (workload × config) cell of a figure/table as one grid of
 /// independent compile+simulate jobs on the shared thread pool (see
-/// driver::eval_grid for the thread-budget contract). Results come back in
-/// deterministic row-major order — one map per workload, keyed by config
-/// name, in the workloads' given order — regardless of the parallelism.
+/// driver::eval_grid for the thread-budget contract), each simulated under
+/// `sim`. Results come back in deterministic row-major order — one map per
+/// workload, keyed by config name, in the workloads' given order — regardless
+/// of the parallelism.
 inline std::vector<std::map<std::string, workloads::RunResult>> run_grid(
     const std::vector<const workloads::Workload*>& ws,
-    const std::vector<NamedConfig>& configs) {
+    const std::vector<NamedConfig>& configs, const vgpu::SimOptions& sim) {
   const std::size_t nc = configs.size();
   std::vector<workloads::RunResult> flat(ws.size() * nc);
   const std::int64_t cells = static_cast<std::int64_t>(flat.size());
@@ -94,7 +85,8 @@ inline std::vector<std::map<std::string, workloads::RunResult>> run_grid(
   driver::eval_grid(cells, [&](std::int64_t i) {
     const std::size_t wi = static_cast<std::size_t>(i) / nc;
     const std::size_t ci = static_cast<std::size_t>(i) % nc;
-    flat[static_cast<std::size_t>(i)] = workloads::simulate(*ws[wi], configs[ci].options);
+    flat[static_cast<std::size_t>(i)] =
+        workloads::simulate(*ws[wi], configs[ci].options, nullptr, sim);
   });
   std::vector<std::map<std::string, workloads::RunResult>> out(ws.size());
   for (std::size_t wi = 0; wi < ws.size(); ++wi) {
@@ -107,8 +99,9 @@ inline std::vector<std::map<std::string, workloads::RunResult>> run_grid(
 
 /// Single-workload grid (config sweeps, ablations).
 inline std::map<std::string, workloads::RunResult> run_grid(
-    const workloads::Workload& w, const std::vector<NamedConfig>& configs) {
-  return std::move(run_grid(std::vector<const workloads::Workload*>{&w}, configs)[0]);
+    const workloads::Workload& w, const std::vector<NamedConfig>& configs,
+    const vgpu::SimOptions& sim) {
+  return std::move(run_grid(std::vector<const workloads::Workload*>{&w}, configs, sim)[0]);
 }
 
 /// Adds the host wall-clock timings of one config's run to a counter row
@@ -167,26 +160,28 @@ class JsonSink {
 
   /// Writes {"benchmark": ..., "rows": [{"name":..., counters...}]}; every
   /// row carries the dispatch engine, grid parallelism, sim thread count, and
-  /// compiler opt level it was produced under, so baseline files are
-  /// self-describing and perf trajectories can be compared like-for-like.
-  bool write(const std::string& path, const std::string& binary_name) const {
+  /// compiler opt level/allocator/spill store of the `flags` it was produced
+  /// under, so baseline files are self-describing and perf trajectories can
+  /// be compared like-for-like.
+  bool write(const std::string& path, const std::string& binary_name,
+             const driver::RunOptions& flags) const {
     obs::json::Value doc = obs::json::Value::object();
     doc["benchmark"] = obs::json::Value(binary_name);
     obs::json::Value rows = obs::json::Value::array();
     for (const Row& r : rows_) {
       obs::json::Value row = obs::json::Value::object();
       row["name"] = obs::json::Value(r.name);
-      row["dispatch"] = obs::json::Value(vgpu::to_string(vgpu::sim_dispatch()));
+      row["dispatch"] = obs::json::Value(vgpu::to_string(flags.sim.dispatch));
       row["grid_parallelism"] = obs::json::Value(static_cast<double>(grid_parallelism_));
       row["sim_threads"] = obs::json::Value(
           static_cast<double>(grid_parallelism_ > 1 ? 1 : vgpu::sim_threads()));
-      row["opt_level"] = obs::json::Value(static_cast<double>(driver::default_opt_level()));
+      row["opt_level"] = obs::json::Value(static_cast<double>(flags.compiler.opt_level));
       row["regalloc"] =
-          obs::json::Value(std::string(regalloc::to_string(regalloc::default_strategy())));
+          obs::json::Value(std::string(regalloc::to_string(flags.compiler.regalloc.strategy)));
       row["spill_mem"] =
-          obs::json::Value(std::string(regalloc::to_string(regalloc::default_spill_mem())));
+          obs::json::Value(std::string(regalloc::to_string(flags.compiler.regalloc.spill_mem)));
       for (const auto& [key, value] : r.counters) row[key] = obs::json::Value(value);
-      // Per-row string attributes override the process-wide stamps (the
+      // Per-row string attributes override the run-wide stamps (the
       // occupancy sweep varies spill_mem within one run, so the frontier
       // rows each carry their own).
       for (const auto& [key, value] : r.attrs) row[key] = obs::json::Value(value);
@@ -233,38 +228,15 @@ inline void register_counters(const std::string& name,
   })->Iterations(1);
 }
 
-/// Shared main(): runs the table/figure generator, honours `--json FILE`,
-/// `--sim-threads N`, `--grid-threads N`, `--sim-dispatch {super,ref}`,
-/// `--regalloc {linear,color}`, and `--spill-mem {local,shared,auto}` (each
-/// also in `--flag=value` form; all stripped before google-benchmark sees
-/// the args), then hands the remaining flags to the standard runner.
-inline int bench_main(int argc, char** argv, const char* binary_name, void (*run)()) {
-  std::string json_path;
-  auto set_dispatch = [](const char* text) {
-    vgpu::SimDispatch d;
-    if (!vgpu::parse_sim_dispatch(text, d)) {
-      std::fprintf(stderr, "bench: --sim-dispatch expects 'super' or 'ref', got '%s'\n", text);
-      std::exit(2);
-    }
-    vgpu::set_sim_dispatch(d);
-  };
-  auto set_regalloc = [](const char* text) {
-    regalloc::Strategy s;
-    if (!regalloc::parse_strategy(text, s)) {
-      std::fprintf(stderr, "bench: --regalloc expects 'linear' or 'color', got '%s'\n", text);
-      std::exit(2);
-    }
-    regalloc::set_default_strategy(s);
-  };
-  auto set_spill_mem = [](const char* text) {
-    regalloc::SpillMem m;
-    if (!regalloc::parse_spill_mem(text, m)) {
-      std::fprintf(stderr, "bench: --spill-mem expects 'local', 'shared', or 'auto', got '%s'\n",
-                   text);
-      std::exit(2);
-    }
-    regalloc::set_default_spill_mem(m);
-  };
+/// Shared main(): parses the shared run flags (driver::run_flags(): the
+/// simulator's threads, dispatch engine and overlap check, the allocator, the
+/// spill store and the opt level) plus `--json FILE` and `--grid-threads N`
+/// (each also in `--flag=value` form; all stripped before google-benchmark
+/// sees the args), runs the table/figure generator under them, then hands the
+/// remaining flags to the standard runner. `--sim-threads` also sets the
+/// process budget, which the grid budget falls back to.
+inline int bench_main(int argc, char** argv, const char* binary_name,
+                      void (*run)(const driver::RunOptions& flags)) {
   auto parse_int_flag = [](const char* flag, const char* text) {
     const std::optional<long long> v = parse_int_strict(text);
     if (!v || *v < INT_MIN || *v > INT_MAX) {
@@ -273,51 +245,35 @@ inline int bench_main(int argc, char** argv, const char* binary_name, void (*run
     }
     return static_cast<int>(*v);
   };
+  driver::RunOptions flags;
+  std::string json_path;
   int out = 1;
   for (int i = 1; i < argc; ++i) {
+    if (driver::parse_run_flag("bench", argc, argv, i, flags)) continue;
     std::string arg = argv[i];
     if (arg == "--json" && i + 1 < argc) {
       json_path = argv[i + 1];
       ++i;
     } else if (arg.rfind("--json=", 0) == 0) {
       json_path = arg.substr(7);
-    } else if (arg == "--sim-threads" && i + 1 < argc) {
-      vgpu::set_sim_threads(parse_int_flag("--sim-threads", argv[i + 1]));
-      ++i;
-    } else if (arg.rfind("--sim-threads=", 0) == 0) {
-      vgpu::set_sim_threads(parse_int_flag("--sim-threads", arg.c_str() + 14));
     } else if (arg == "--grid-threads" && i + 1 < argc) {
       driver::set_grid_threads(parse_int_flag("--grid-threads", argv[i + 1]));
       ++i;
     } else if (arg.rfind("--grid-threads=", 0) == 0) {
       driver::set_grid_threads(parse_int_flag("--grid-threads", arg.c_str() + 15));
-    } else if (arg == "--sim-dispatch" && i + 1 < argc) {
-      set_dispatch(argv[i + 1]);
-      ++i;
-    } else if (arg.rfind("--sim-dispatch=", 0) == 0) {
-      set_dispatch(arg.c_str() + 15);
-    } else if (arg == "--regalloc" && i + 1 < argc) {
-      set_regalloc(argv[i + 1]);
-      ++i;
-    } else if (arg.rfind("--regalloc=", 0) == 0) {
-      set_regalloc(arg.c_str() + 11);
-    } else if (arg == "--spill-mem" && i + 1 < argc) {
-      set_spill_mem(argv[i + 1]);
-      ++i;
-    } else if (arg.rfind("--spill-mem=", 0) == 0) {
-      set_spill_mem(arg.c_str() + 12);
     } else {
       argv[out++] = argv[i];
     }
   }
   argc = out;
+  vgpu::set_sim_threads(flags.sim.threads);
 
-  run();
+  run(flags);
 
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   if (!json_path.empty()) {
-    if (!JsonSink::instance().write(json_path, binary_name)) return 1;
+    if (!JsonSink::instance().write(json_path, binary_name, flags)) return 1;
     std::printf("json: wrote %s\n", json_path.c_str());
   }
   return 0;

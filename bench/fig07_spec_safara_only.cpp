@@ -8,17 +8,17 @@
 namespace safara::bench {
 namespace {
 
-void run() {
+void run(const driver::RunOptions& flags) {
   TablePrinter table({"Benchmark", "base cyc", "SAFARA cyc", "speedup", "regs b->s",
                       "occ b->s"},
                      14);
   table.print_header("Figure 7: SPEC speedup with SAFARA only (vs OpenUH base)");
   const std::vector<NamedConfig> configs = {
-      {"base", driver::CompilerOptions::openuh_base()},
-      {"safara", driver::CompilerOptions::openuh_safara()},
+      {"base", driver::CompilerOptions::openuh_base(flags.compiler)},
+      {"safara", driver::CompilerOptions::openuh_safara(flags.compiler)},
   };
   const std::vector<const workloads::Workload*> ws = workloads::spec_suite();
-  auto grid = run_grid(ws, configs);
+  auto grid = run_grid(ws, configs, flags.sim);
   for (std::size_t i = 0; i < ws.size(); ++i) {
     const workloads::Workload* w = ws[i];
     const workloads::RunResult& base = grid[i].at("base");

@@ -8,19 +8,19 @@
 namespace safara::bench {
 namespace {
 
-void run() {
+void run(const driver::RunOptions& flags) {
   TablePrinter table({"Benchmark", "small", "small+dim", "s+d+SAFARA", "regs base",
                       "regs s+d+S"},
                      14);
   table.print_header("Figure 9: SPEC speedups: small / small+dim / small+dim+SAFARA");
   const std::vector<NamedConfig> configs = {
-      {"base", driver::CompilerOptions::openuh_base()},
-      {"small", driver::CompilerOptions::openuh_small()},
-      {"small_dim", driver::CompilerOptions::openuh_small_dim()},
-      {"small_dim_safara", driver::CompilerOptions::openuh_safara_clauses()},
+      {"base", driver::CompilerOptions::openuh_base(flags.compiler)},
+      {"small", driver::CompilerOptions::openuh_small(flags.compiler)},
+      {"small_dim", driver::CompilerOptions::openuh_small_dim(flags.compiler)},
+      {"small_dim_safara", driver::CompilerOptions::openuh_safara_clauses(flags.compiler)},
   };
   const std::vector<const workloads::Workload*> ws = workloads::spec_suite();
-  auto grid = run_grid(ws, configs);
+  auto grid = run_grid(ws, configs, flags.sim);
   for (std::size_t i = 0; i < ws.size(); ++i) {
     const workloads::Workload* w = ws[i];
     const auto& base = grid[i].at("base");

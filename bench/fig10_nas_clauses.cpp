@@ -6,20 +6,20 @@
 namespace safara::bench {
 namespace {
 
-void run() {
+void run(const driver::RunOptions& flags) {
   TablePrinter table({"Benchmark", "small", "SAFARA", "SAFARA+small", "regs base"},
                      14);
   table.print_header("Figure 10: NAS speedups: small / SAFARA / SAFARA+small");
-  driver::CompilerOptions saf_small = driver::CompilerOptions::openuh_safara();
+  driver::CompilerOptions saf_small = driver::CompilerOptions::openuh_safara(flags.compiler);
   saf_small.honor_small = true;
   const std::vector<NamedConfig> configs = {
-      {"base", driver::CompilerOptions::openuh_base()},
-      {"small", driver::CompilerOptions::openuh_small()},
-      {"safara", driver::CompilerOptions::openuh_safara()},
+      {"base", driver::CompilerOptions::openuh_base(flags.compiler)},
+      {"small", driver::CompilerOptions::openuh_small(flags.compiler)},
+      {"safara", driver::CompilerOptions::openuh_safara(flags.compiler)},
       {"safara_small", saf_small},
   };
   const std::vector<const workloads::Workload*> ws = workloads::nas_suite();
-  auto grid = run_grid(ws, configs);
+  auto grid = run_grid(ws, configs, flags.sim);
   for (std::size_t i = 0; i < ws.size(); ++i) {
     const workloads::Workload* w = ws[i];
     const auto& base = grid[i].at("base");

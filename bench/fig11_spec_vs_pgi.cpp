@@ -8,18 +8,18 @@
 namespace safara::bench {
 namespace {
 
-void run() {
+void run(const driver::RunOptions& flags) {
   TablePrinter table({"Benchmark", "OpenUH", "OpenUH+SAF", "OpenUH+S+cls", "PGI"}, 14);
   table.print_header(
       "Figure 11: SPEC normalized time (lower is better), OpenUH vs PGI-like");
   const std::vector<NamedConfig> configs = {
-      {"openuh_base", driver::CompilerOptions::openuh_base()},
-      {"openuh_safara", driver::CompilerOptions::openuh_safara()},
-      {"openuh_safara_clauses", driver::CompilerOptions::openuh_safara_clauses()},
-      {"pgi", driver::CompilerOptions::pgi_like()},
+      {"openuh_base", driver::CompilerOptions::openuh_base(flags.compiler)},
+      {"openuh_safara", driver::CompilerOptions::openuh_safara(flags.compiler)},
+      {"openuh_safara_clauses", driver::CompilerOptions::openuh_safara_clauses(flags.compiler)},
+      {"pgi", driver::CompilerOptions::pgi_like(flags.compiler)},
   };
   const std::vector<const workloads::Workload*> ws = workloads::spec_suite();
-  auto grid = run_grid(ws, configs);
+  auto grid = run_grid(ws, configs, flags.sim);
   for (std::size_t i = 0; i < ws.size(); ++i) {
     const workloads::Workload* w = ws[i];
     const auto& base = grid[i].at("openuh_base");

@@ -56,7 +56,7 @@ workloads::Workload make_microbench() {
   return w;
 }
 
-void run() {
+void run(const driver::RunOptions& flags) {
   workloads::Workload w = make_microbench();
 
   // The regs x spill-mem frontier: every register limit under both spill
@@ -76,7 +76,7 @@ void run() {
   std::vector<NamedConfig> configs;
   for (int limit : limits) {
     for (regalloc::SpillMem mem : mems) {
-      driver::CompilerOptions opts = driver::CompilerOptions::openuh_base();
+      driver::CompilerOptions opts = driver::CompilerOptions::openuh_base(flags.compiler);
       opts.regalloc.max_registers = limit;
       opts.regalloc.spill_mem = mem;
       configs.push_back({"limit" + std::to_string(limit) + "/" +
@@ -84,7 +84,7 @@ void run() {
                          opts});
     }
   }
-  auto grid = run_grid(w, configs);
+  auto grid = run_grid(w, configs, flags.sim);
   for (int limit : limits) {
     for (regalloc::SpillMem mem : mems) {
       const std::string mem_name = regalloc::to_string(mem);

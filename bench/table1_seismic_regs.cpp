@@ -10,11 +10,11 @@
 namespace safara::bench {
 namespace {
 
-void run() {
+void run(const driver::RunOptions& flags) {
   const workloads::Workload* w = workloads::find_workload("355.seismic");
-  driver::Compiler base(driver::CompilerOptions::openuh_base());
-  driver::Compiler small(driver::CompilerOptions::openuh_small());
-  driver::Compiler small_dim(driver::CompilerOptions::openuh_small_dim());
+  driver::Compiler base(driver::CompilerOptions::openuh_base(flags.compiler));
+  driver::Compiler small(driver::CompilerOptions::openuh_small(flags.compiler));
+  driver::Compiler small_dim(driver::CompilerOptions::openuh_small_dim(flags.compiler));
 
   auto p_base = base.compile(w->source, w->function);
   auto p_small = small.compile(w->source, w->function);

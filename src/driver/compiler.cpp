@@ -10,7 +10,6 @@
 #include "parse/parser.hpp"
 #include "regalloc/regdem.hpp"
 #include "sema/sema.hpp"
-#include "support/string_util.hpp"
 
 namespace safara::driver {
 
@@ -119,15 +118,6 @@ std::uint64_t options_fingerprint(const CompilerOptions& o) {
   return h;
 }
 
-int default_opt_level() {
-  static const int level = [] {
-    const std::optional<long long> v = env_int("SAFARA_OPT_LEVEL");
-    if (!v) return 2;
-    return static_cast<int>(std::clamp<long long>(*v, 0, 2));
-  }();
-  return level;
-}
-
 void clear_safara_feedback_cache() {
   std::lock_guard<std::mutex> lock(g_feedback_cache_mu);
   g_feedback_cache.clear();
@@ -138,45 +128,42 @@ std::size_t safara_feedback_cache_size() {
   return g_feedback_cache.size();
 }
 
-CompilerOptions CompilerOptions::openuh_base() { return CompilerOptions{}; }
+CompilerOptions CompilerOptions::defaults() { return {}; }
 
-CompilerOptions CompilerOptions::openuh_small() {
-  CompilerOptions o;
-  o.honor_small = true;
-  return o;
+CompilerOptions CompilerOptions::openuh_base(CompilerOptions base) { return base; }
+
+CompilerOptions CompilerOptions::openuh_small(CompilerOptions base) {
+  base.honor_small = true;
+  return base;
 }
 
-CompilerOptions CompilerOptions::openuh_small_dim() {
-  CompilerOptions o;
-  o.honor_small = true;
-  o.honor_dim = true;
-  return o;
+CompilerOptions CompilerOptions::openuh_small_dim(CompilerOptions base) {
+  base.honor_small = true;
+  base.honor_dim = true;
+  return base;
 }
 
-CompilerOptions CompilerOptions::openuh_safara() {
-  CompilerOptions o;
-  o.enable_safara = true;
-  return o;
+CompilerOptions CompilerOptions::openuh_safara(CompilerOptions base) {
+  base.enable_safara = true;
+  return base;
 }
 
-CompilerOptions CompilerOptions::openuh_safara_clauses() {
-  CompilerOptions o;
-  o.enable_safara = true;
-  o.honor_small = true;
-  o.honor_dim = true;
-  return o;
+CompilerOptions CompilerOptions::openuh_safara_clauses(CompilerOptions base) {
+  base.enable_safara = true;
+  base.honor_small = true;
+  base.honor_dim = true;
+  return base;
 }
 
-CompilerOptions CompilerOptions::pgi_like() {
-  CompilerOptions o;
-  o.persona = Persona::kPgiLike;
-  return o;
+CompilerOptions CompilerOptions::pgi_like(CompilerOptions base) {
+  base.persona = Persona::kPgiLike;
+  return base;
 }
 
-CompilerOptions CompilerOptions::openuh_safara_clauses_verified() {
-  CompilerOptions o = openuh_safara_clauses();
-  o.verify_clauses = true;
-  return o;
+CompilerOptions CompilerOptions::openuh_safara_clauses_verified(CompilerOptions base) {
+  base = openuh_safara_clauses(std::move(base));
+  base.verify_clauses = true;
+  return base;
 }
 
 codegen::CodegenOptions Compiler::codegen_options() const {

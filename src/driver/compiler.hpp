@@ -29,10 +29,6 @@ namespace safara::driver {
 
 enum class Persona : std::uint8_t { kOpenUH, kPgiLike };
 
-/// The VIR optimization level the process defaults to: SAFARA_OPT_LEVEL
-/// (clamped to 0..2) when set and parseable, otherwise 2.
-int default_opt_level();
-
 struct CompilerOptions {
   Persona persona = Persona::kOpenUH;
   bool enable_safara = false;
@@ -59,22 +55,28 @@ struct CompilerOptions {
   /// scalar-replacement headroom. 0 = off (the pre-pipeline behaviour),
   /// 1 = copy propagation + DCE, 2 = + strength reduction, GVN, and
   /// pressure-aware scheduling.
-  int opt_level = default_opt_level();
+  int opt_level = 2;
   opt::SafaraOptions safara;
   opt::CarrKennedyOptions carr_kennedy;
   opt::UnrollOptions unroll;
   regalloc::AllocatorOptions regalloc;
   vgpu::DeviceSpec device = vgpu::DeviceSpec::k20xm();
 
-  // The configurations used throughout the evaluation.
-  static CompilerOptions openuh_base();
-  static CompilerOptions openuh_small();                 // small only
-  static CompilerOptions openuh_small_dim();             // small + dim
-  static CompilerOptions openuh_safara();                // SAFARA only (Fig. 7)
-  static CompilerOptions openuh_safara_clauses();        // small + dim + SAFARA
-  static CompilerOptions pgi_like();
+  // The configurations used throughout the evaluation: small = the small
+  // clause only, small_dim = small + dim, safara = SAFARA only (Fig. 7),
+  // safara_clauses = small + dim + SAFARA. Each starts from `base` (the run's
+  // flags, say) and sets only what defines the config.
+  static CompilerOptions openuh_base(CompilerOptions base = defaults());
+  static CompilerOptions openuh_small(CompilerOptions base = defaults());
+  static CompilerOptions openuh_small_dim(CompilerOptions base = defaults());
+  static CompilerOptions openuh_safara(CompilerOptions base = defaults());
+  static CompilerOptions openuh_safara_clauses(CompilerOptions base = defaults());
+  static CompilerOptions pgi_like(CompilerOptions base = defaults());
   /// small+dim+SAFARA with runtime clause verification and a fallback kernel.
-  static CompilerOptions openuh_safara_clauses_verified();
+  static CompilerOptions openuh_safara_clauses_verified(CompilerOptions base = defaults());
+  /// CompilerOptions{}, as the factories' default argument (GCC rejects `= {}`
+  /// for a parameter of the enclosing class's own type).
+  static CompilerOptions defaults();
 };
 
 /// Runtime-verifiable assertions a kernel's clauses made about its arrays.

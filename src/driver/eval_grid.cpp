@@ -43,17 +43,7 @@ void eval_grid(std::int64_t cells, const std::function<void(std::int64_t)>& cell
     for (std::int64_t i = 0; i < cells; ++i) cell_fn(i);
     return;
   }
-  // The grid owns the whole budget while it runs: pin the inner simulator to
-  // one thread (restored afterwards, even on a throwing cell).
-  const int prev_sim_threads = vgpu::sim_threads();
-  vgpu::set_sim_threads(1);
-  try {
-    support::ThreadPool::shared().parallel_for(par, cells, cell_fn);
-  } catch (...) {
-    vgpu::set_sim_threads(prev_sim_threads);
-    throw;
-  }
-  vgpu::set_sim_threads(prev_sim_threads);
+  support::ThreadPool::shared().parallel_for(par, cells, cell_fn);
 }
 
 }  // namespace safara::driver

@@ -161,19 +161,14 @@ ArgSet derive_args(const ast::Function& fn) {
 
 namespace {
 
-/// Restores the simulator's global thread/dispatch knobs even when an oracle
-/// throws mid-run.
-struct SimKnobGuard {
-  ~SimKnobGuard() {
-    vgpu::set_sim_threads(0);
-    vgpu::reset_sim_dispatch();
-  }
-};
+/// The oracles simulate on one host thread unless the pair under test is the
+/// thread count itself.
+constexpr vgpu::SimOptions kOneThread{.threads = 1};
 
 std::vector<vgpu::LaunchStats> run_on_sim(const driver::CompiledProgram& prog,
-                                          ArgSet& data) {
+                                          ArgSet& data, const vgpu::SimOptions& sim) {
   rt::Device dev(vgpu::DeviceSpec::k20xm());
-  rt::Runtime runtime(dev);
+  rt::Runtime runtime(dev, sim);
   std::map<std::string, rt::Buffer> buffers;
   rt::ArgMap args;
   for (auto& [name, arr] : data.arrays) {
@@ -345,8 +340,6 @@ OracleResult roundtrip_oracle(const std::string& source) {
 
 OracleResult ref_vs_sim_oracle(const std::string& source, bool inject) {
   OracleResult r{Oracle::kRefVsSim, Status::kOk, ""};
-  SimKnobGuard guard;
-  vgpu::set_sim_threads(1);
 
   driver::Compiler compiler(driver::CompilerOptions::openuh_base());
   driver::CompiledProgram prog =
@@ -354,7 +347,7 @@ OracleResult ref_vs_sim_oracle(const std::string& source, bool inject) {
   ast::Program parsed = parse_or_throw(source);
 
   ArgSet sim_data = derive_args(*parsed.functions.front());
-  run_on_sim(prog, sim_data);
+  run_on_sim(prog, sim_data, kOneThread);
 
   ArgSet ref_data = derive_args(*parsed.functions.front());
   driver::RefArgMap ref_args;
@@ -372,8 +365,6 @@ OracleResult ref_vs_sim_oracle(const std::string& source, bool inject) {
 
 OracleResult safara_on_off_oracle(const std::string& source, bool inject) {
   OracleResult r{Oracle::kSafaraOnOff, Status::kOk, ""};
-  SimKnobGuard guard;
-  vgpu::set_sim_threads(1);
 
   driver::Compiler base(driver::CompilerOptions::openuh_base());
   driver::CompiledProgram prog_a = base.compile(source);
@@ -384,8 +375,8 @@ OracleResult safara_on_off_oracle(const std::string& source, bool inject) {
   ast::Program parsed = parse_or_throw(source);
   ArgSet data_a = derive_args(*parsed.functions.front());
   ArgSet data_b = derive_args(*parsed.functions.front());
-  run_on_sim(prog_a, data_a);
-  run_on_sim(prog_b, data_b);
+  run_on_sim(prog_a, data_a, kOneThread);
+  run_on_sim(prog_b, data_b, kOneThread);
 
   std::string why;
   if (!results_equal(data_a, data_b, &why)) {
@@ -397,20 +388,18 @@ OracleResult safara_on_off_oracle(const std::string& source, bool inject) {
 
 OracleResult dispatch_oracle(const std::string& source) {
   OracleResult r{Oracle::kDispatch, Status::kOk, ""};
-  SimKnobGuard guard;
-  vgpu::set_sim_threads(1);
 
   driver::Compiler compiler(driver::CompilerOptions::openuh_safara_clauses());
   driver::CompiledProgram prog = compiler.compile(source);
   ast::Program parsed = parse_or_throw(source);
 
   ArgSet data_a = derive_args(*parsed.functions.front());
-  vgpu::set_sim_dispatch(vgpu::SimDispatch::kSuper);
-  std::vector<vgpu::LaunchStats> stats_a = run_on_sim(prog, data_a);
+  std::vector<vgpu::LaunchStats> stats_a =
+      run_on_sim(prog, data_a, {.threads = 1, .dispatch = vgpu::SimDispatch::kSuper});
 
   ArgSet data_b = derive_args(*parsed.functions.front());
-  vgpu::set_sim_dispatch(vgpu::SimDispatch::kRef);
-  std::vector<vgpu::LaunchStats> stats_b = run_on_sim(prog, data_b);
+  std::vector<vgpu::LaunchStats> stats_b =
+      run_on_sim(prog, data_b, {.threads = 1, .dispatch = vgpu::SimDispatch::kRef});
 
   std::string why;
   if (!results_equal(data_a, data_b, &why)) {
@@ -425,19 +414,16 @@ OracleResult dispatch_oracle(const std::string& source) {
 
 OracleResult threads_oracle(const std::string& source) {
   OracleResult r{Oracle::kThreads, Status::kOk, ""};
-  SimKnobGuard guard;
 
   driver::Compiler compiler(driver::CompilerOptions::openuh_base());
   driver::CompiledProgram prog = compiler.compile(source);
   ast::Program parsed = parse_or_throw(source);
 
   ArgSet data_a = derive_args(*parsed.functions.front());
-  vgpu::set_sim_threads(1);
-  std::vector<vgpu::LaunchStats> stats_a = run_on_sim(prog, data_a);
+  std::vector<vgpu::LaunchStats> stats_a = run_on_sim(prog, data_a, kOneThread);
 
   ArgSet data_b = derive_args(*parsed.functions.front());
-  vgpu::set_sim_threads(4);
-  std::vector<vgpu::LaunchStats> stats_b = run_on_sim(prog, data_b);
+  std::vector<vgpu::LaunchStats> stats_b = run_on_sim(prog, data_b, {.threads = 4});
 
   std::string why;
   if (!results_equal(data_a, data_b, &why)) {
@@ -460,8 +446,6 @@ OracleResult threads_oracle(const std::string& source) {
 /// reinvests freed registers in more scalar replacement.
 OracleResult opt_vs_noopt_oracle(const std::string& source, bool inject) {
   OracleResult r{Oracle::kOptVsNoopt, Status::kOk, ""};
-  SimKnobGuard guard;
-  vgpu::set_sim_threads(1);
 
   driver::CompilerOptions off = driver::CompilerOptions::openuh_safara_clauses();
   off.opt_level = 0;
@@ -476,8 +460,8 @@ OracleResult opt_vs_noopt_oracle(const std::string& source, bool inject) {
   ast::Program parsed = parse_or_throw(source);
   ArgSet data_a = derive_args(*parsed.functions.front());
   ArgSet data_b = derive_args(*parsed.functions.front());
-  std::vector<vgpu::LaunchStats> stats_a = run_on_sim(prog_a, data_a);
-  std::vector<vgpu::LaunchStats> stats_b = run_on_sim(prog_b, data_b);
+  std::vector<vgpu::LaunchStats> stats_a = run_on_sim(prog_a, data_a, kOneThread);
+  std::vector<vgpu::LaunchStats> stats_b = run_on_sim(prog_b, data_b, kOneThread);
 
   std::string why;
   if (!results_equal(data_a, data_b, &why)) {
@@ -572,8 +556,6 @@ OracleResult opt_vs_noopt_oracle(const std::string& source, bool inject) {
 /// match too.
 OracleResult linear_vs_color_oracle(const std::string& source, bool inject) {
   OracleResult r{Oracle::kLinearVsColor, Status::kOk, ""};
-  SimKnobGuard guard;
-  vgpu::set_sim_threads(1);
 
   driver::CompilerOptions lin = driver::CompilerOptions::openuh_safara_clauses();
   lin.regalloc.strategy = regalloc::Strategy::kLinear;
@@ -586,8 +568,8 @@ OracleResult linear_vs_color_oracle(const std::string& source, bool inject) {
   ast::Program parsed = parse_or_throw(source);
   ArgSet data_a = derive_args(*parsed.functions.front());
   ArgSet data_b = derive_args(*parsed.functions.front());
-  std::vector<vgpu::LaunchStats> stats_a = run_on_sim(prog_a, data_a);
-  std::vector<vgpu::LaunchStats> stats_b = run_on_sim(prog_b, data_b);
+  std::vector<vgpu::LaunchStats> stats_a = run_on_sim(prog_a, data_a, kOneThread);
+  std::vector<vgpu::LaunchStats> stats_b = run_on_sim(prog_b, data_b, kOneThread);
 
   std::string why;
   if (!results_equal(data_a, data_b, &why)) {
@@ -627,8 +609,8 @@ OracleResult linear_vs_color_oracle(const std::string& source, bool inject) {
   driver::CompiledProgram base_b = driver::Compiler(base_col).compile(source);
   ArgSet bdata_a = derive_args(*parsed.functions.front());
   ArgSet bdata_b = derive_args(*parsed.functions.front());
-  std::vector<vgpu::LaunchStats> bstats_a = run_on_sim(base_a, bdata_a);
-  std::vector<vgpu::LaunchStats> bstats_b = run_on_sim(base_b, bdata_b);
+  std::vector<vgpu::LaunchStats> bstats_a = run_on_sim(base_a, bdata_a, kOneThread);
+  std::vector<vgpu::LaunchStats> bstats_b = run_on_sim(base_b, bdata_b, kOneThread);
   if (!results_equal(bdata_a, bdata_b, &why)) {
     r.status = Status::kDiverged;
     r.detail = "linear vs color base-config results: " + why;
@@ -664,8 +646,6 @@ OracleResult linear_vs_color_oracle(const std::string& source, bool inject) {
 /// makes spilling near-certain so demotion actually runs on most inputs.
 OracleResult spillmem_oracle(const std::string& source, bool inject) {
   OracleResult r{Oracle::kSpillMem, Status::kOk, ""};
-  SimKnobGuard guard;
-  vgpu::set_sim_threads(1);
 
   ast::Program parsed = parse_or_throw(source);
 
@@ -681,8 +661,8 @@ OracleResult spillmem_oracle(const std::string& source, bool inject) {
 
     ArgSet data_a = derive_args(*parsed.functions.front());
     ArgSet data_b = derive_args(*parsed.functions.front());
-    std::vector<vgpu::LaunchStats> stats_a = run_on_sim(prog_a, data_a);
-    std::vector<vgpu::LaunchStats> stats_b = run_on_sim(prog_b, data_b);
+    std::vector<vgpu::LaunchStats> stats_a = run_on_sim(prog_a, data_a, kOneThread);
+    std::vector<vgpu::LaunchStats> stats_b = run_on_sim(prog_b, data_b, kOneThread);
 
     std::string why;
     if (!results_equal(data_a, data_b, &why)) {

@@ -80,14 +80,6 @@ bool parse_strategy(std::string_view text, Strategy& out) {
   return false;
 }
 
-namespace {
-Strategy g_default_strategy = Strategy::kColor;
-SpillMem g_default_spill_mem = SpillMem::kLocal;
-}  // namespace
-
-Strategy default_strategy() { return g_default_strategy; }
-void set_default_strategy(Strategy s) { g_default_strategy = s; }
-
 const char* to_string(SpillMem m) {
   switch (m) {
     case SpillMem::kLocal: return "local";
@@ -112,9 +104,6 @@ bool parse_spill_mem(std::string_view text, SpillMem& out) {
   }
   return false;
 }
-
-SpillMem default_spill_mem() { return g_default_spill_mem; }
-void set_default_spill_mem(SpillMem m) { g_default_spill_mem = m; }
 
 AllocationResult allocate(const vir::Kernel& kernel, const AllocatorOptions& opts) {
   return opts.strategy == Strategy::kLinear ? allocate_linear(kernel, opts)

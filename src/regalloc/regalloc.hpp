@@ -101,13 +101,6 @@ enum class Strategy : std::uint8_t {
 const char* to_string(Strategy s);
 bool parse_strategy(std::string_view text, Strategy& out);
 
-/// Process-wide default consumed by AllocatorOptions. Deliberately not
-/// environment-driven: golden snapshots and in-process tests must be
-/// deterministic, so only explicit flags (`safcc --regalloc`, bench
-/// `--regalloc`) change it.
-Strategy default_strategy();
-void set_default_strategy(Strategy s);
-
 /// Where spilled values live (src/regalloc/regdem.hpp implements the pass).
 enum class SpillMem : std::uint8_t {
   kLocal = 0,   // every spill slot in L1-cached local memory (pre-RegDem)
@@ -118,16 +111,11 @@ enum class SpillMem : std::uint8_t {
 const char* to_string(SpillMem m);
 bool parse_spill_mem(std::string_view text, SpillMem& out);
 
-/// Process-wide default consumed by AllocatorOptions; same determinism
-/// contract as default_strategy() (explicit flags only, no environment).
-SpillMem default_spill_mem();
-void set_default_spill_mem(SpillMem m);
-
 struct AllocatorOptions {
   /// Hardware limit per thread (255 on Kepler). Lowering it models
   /// __launch_bounds__-style pressure and forces spilling.
   int max_registers = 255;
-  Strategy strategy = default_strategy();
+  Strategy strategy = Strategy::kColor;
   /// Optional per-instruction spill-cost weights (index = instruction pc),
   /// e.g. the per-pc cycle attribution from `--sim-profile`: accesses at
   /// hot pcs make a vreg more expensive to spill. Empty = uniform weights.
@@ -135,7 +123,7 @@ struct AllocatorOptions {
   /// Spill backing store; anything but kLocal arms the post-allocation
   /// RegDem pass in the driver (the allocators themselves always lay out a
   /// local frame — RegDem rewrites the placement afterwards).
-  SpillMem spill_mem = default_spill_mem();
+  SpillMem spill_mem = SpillMem::kLocal;
 };
 
 /// Approximate loop depth per instruction (every backward branch nests the

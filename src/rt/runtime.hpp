@@ -35,7 +35,8 @@ class Device {
 
 class Runtime {
  public:
-  explicit Runtime(Device& dev) : dev_(dev) {}
+  /// Every launch() simulates under `sim`.
+  explicit Runtime(Device& dev, vgpu::SimOptions sim = {}) : dev_(dev), sim_(sim) {}
 
   /// Allocates a device array. `dims` are outermost-first, matching the
   /// declaration order in ACC-C (`a[d0][d1][d2]`).
@@ -73,6 +74,7 @@ class Runtime {
                                             const ArgMap& args) const;
 
   Device& dev_;
+  vgpu::SimOptions sim_;
   // Per-kernel decode caches. Never shared across threads: each eval_grid
   // cell owns its Runtime, and a Runtime is not thread-safe to begin with.
   std::map<const vir::Kernel*, vgpu::LaunchContext> launch_ctx_;

@@ -4,6 +4,15 @@
 
 namespace safara::support {
 
+namespace {
+
+// Set while this thread runs a parallel_for job's fn (see in_parallel_for).
+thread_local bool t_in_job = false;
+
+}  // namespace
+
+bool ThreadPool::in_parallel_for() { return t_in_job; }
+
 ThreadPool::ThreadPool(int workers) {
   workers_.reserve(static_cast<std::size_t>(std::max(workers, 0)));
   for (int i = 0; i < workers; ++i) {
@@ -29,6 +38,7 @@ ThreadPool& ThreadPool::shared() {
 }
 
 void ThreadPool::worker_loop() {
+  t_in_job = true;  // a worker runs nothing but job code
   std::uint64_t seen_generation = 0;
   for (;;) {
     {
@@ -73,22 +83,34 @@ void ThreadPool::drain() {
 void ThreadPool::parallel_for(int max_participants, std::int64_t n,
                               const std::function<void(std::int64_t)>& fn) {
   if (n <= 0) return;
-  const int helpers = std::min<int>({max_participants - 1, worker_count(),
+  // The caller is a participant until it returns, even by a throw.
+  struct Participant {
+    bool nested = t_in_job;
+    Participant() { t_in_job = true; }
+    ~Participant() { t_in_job = nested; }
+  } participant;
+  int helpers = participant.nested
+                    ? 0
+                    : std::min<int>({max_participants - 1, worker_count(),
                                      n > INT32_MAX ? INT32_MAX : static_cast<int>(n) - 1});
+  if (helpers > 0) {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (job_fn_) {
+      helpers = 0;  // another thread's job holds the pool
+    } else {
+      job_fn_ = &fn;
+      job_n_ = n;
+      next_index_.store(0, std::memory_order_relaxed);
+      job_slots_ = helpers;
+      error_index_ = -1;
+      error_ = nullptr;
+      ++job_generation_;
+    }
+  }
   if (helpers <= 0) {
-    // Inline fast path: no pool involvement, exceptions propagate naturally.
+    // Inline: no pool involvement, exceptions propagate naturally.
     for (std::int64_t i = 0; i < n; ++i) fn(i);
     return;
-  }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    job_fn_ = &fn;
-    job_n_ = n;
-    next_index_.store(0, std::memory_order_relaxed);
-    job_slots_ = helpers;
-    error_index_ = -1;
-    error_ = nullptr;
-    ++job_generation_;
   }
   job_cv_.notify_all();
   drain();  // the caller participates too

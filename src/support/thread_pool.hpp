@@ -10,6 +10,12 @@
 // index in [0, n), with no ordering guarantee. Callers that need reproducible
 // results must make each fn(i) write only to index-private state and merge in
 // index order afterwards — that is exactly how vgpu::launch uses it.
+//
+// Any thread may call parallel_for at any time. The pool runs one job at a
+// time; a call made from inside a job (a nested call), or while another
+// thread's job holds the pool, runs inline on its caller instead of waiting.
+// So an eval_grid cell may launch the simulator, and two grids may run at
+// once, without deadlock and without oversubscribing the host.
 #pragma once
 
 #include <atomic>
@@ -40,11 +46,15 @@ class ThreadPool {
   /// workers). Blocks until every index has completed. If any fn throws, the
   /// exception raised by the lowest-throwing index is rethrown on the caller
   /// once all claimed work has finished (unclaimed indices still run; an
-  /// index whose fn throws simply records the exception).
-  ///
-  /// Not reentrant: fn must not itself call parallel_for on this pool.
+  /// index whose fn throws simply records the exception). A call that runs
+  /// inline — one participant, a nested call, or a busy pool — runs the
+  /// indices in order and lets the first exception propagate.
   void parallel_for(int max_participants, std::int64_t n,
                     const std::function<void(std::int64_t)>& fn);
+
+  /// True while the calling thread runs fn for some parallel_for call, as
+  /// its caller or as a worker.
+  static bool in_parallel_for();
 
   /// The process-wide pool, created on first use with
   /// hardware_concurrency - 1 workers.
@@ -61,7 +71,8 @@ class ThreadPool {
   std::uint64_t job_generation_ = 0;
   bool shutdown_ = false;
 
-  // Current job (valid while active_participants_ > 0 or indices remain).
+  // Current job; job_fn_ is non-null from the post to the caller's return,
+  // which is what makes the pool busy for every other caller.
   const std::function<void(std::int64_t)>* job_fn_ = nullptr;
   std::int64_t job_n_ = 0;
   int job_slots_ = 0;  // worker participation tickets for this job

@@ -494,7 +494,7 @@ DecodedKernel decode(const Kernel& k, const regalloc::AllocationResult& alloc,
 }
 
 // Records which 4-byte global-memory granules one SM touches; used only by
-// the debug-mode overlap checker's sequential shadow pass.
+// the overlap checker's sequential shadow pass.
 struct AccessTracker {
   std::unordered_set<std::uint64_t> reads;
   std::unordered_set<std::uint64_t> writes;
@@ -1596,8 +1596,6 @@ class SmSimulator {
 // -- host threading state ------------------------------------------------------
 
 int g_sim_threads_override = 0;  // 0 = use the environment/hardware default
-OverlapCheckMode g_overlap_mode = OverlapCheckMode::kAuto;
-int g_sim_dispatch_override = -1;  // -1 = use the environment/default
 
 int default_sim_threads() {
   if (std::optional<long long> v = env_int("SAFARA_SIM_THREADS")) {
@@ -1605,30 +1603,6 @@ int default_sim_threads() {
   }
   const unsigned hc = std::thread::hardware_concurrency();
   return hc > 0 ? static_cast<int>(hc) : 1;
-}
-
-SimDispatch default_sim_dispatch() {
-  if (const char* env = std::getenv("SAFARA_SIM_DISPATCH")) {
-    SimDispatch d;
-    if (parse_sim_dispatch(env, d)) return d;
-  }
-  return SimDispatch::kSuper;
-}
-
-bool overlap_check_enabled() {
-  switch (g_overlap_mode) {
-    case OverlapCheckMode::kOff: return false;
-    case OverlapCheckMode::kOn: return true;
-    case OverlapCheckMode::kAuto: break;
-  }
-  if (const char* env = std::getenv("SAFARA_SIM_CHECK_OVERLAP")) {
-    return env[0] != '\0' && env[0] != '0';
-  }
-#ifndef NDEBUG
-  return true;
-#else
-  return false;
-#endif
 }
 
 // One SM's slice of a launch: its block list plus private result storage.
@@ -1644,7 +1618,7 @@ struct SmWork {
   std::uint64_t sb_retires = 0;
 };
 
-/// The debug-mode guard for the SM-independence assumption: simulates the
+/// The overlap checker that guards the SM-independence assumption: simulates the
 /// launch sequentially against a scratch copy of device memory, recording the
 /// 4-byte granules each SM reads and writes, and reports whether any SM's
 /// writes overlap another SM's reads or writes. Conservative: a `false`
@@ -1689,17 +1663,6 @@ void set_sim_threads(int n) { g_sim_threads_override = n > 0 ? n : 0; }
 
 int sim_threads() {
   return g_sim_threads_override > 0 ? g_sim_threads_override : default_sim_threads();
-}
-
-void set_sim_overlap_check(OverlapCheckMode mode) { g_overlap_mode = mode; }
-
-void set_sim_dispatch(SimDispatch d) { g_sim_dispatch_override = static_cast<int>(d); }
-
-void reset_sim_dispatch() { g_sim_dispatch_override = -1; }
-
-SimDispatch sim_dispatch() {
-  return g_sim_dispatch_override >= 0 ? static_cast<SimDispatch>(g_sim_dispatch_override)
-                                      : default_sim_dispatch();
 }
 
 bool parse_sim_dispatch(std::string_view text, SimDispatch& out) {
@@ -1802,7 +1765,7 @@ LaunchContext& LaunchContext::operator=(LaunchContext&&) noexcept = default;
 LaunchStats launch(const Kernel& kernel, const regalloc::AllocationResult& alloc,
                    const DeviceSpec& spec, DeviceMemory& mem,
                    const std::vector<std::uint64_t>& params, const LaunchConfig& cfg,
-                   obs::Collector* collector, LaunchContext* ctx) {
+                   obs::Collector* collector, LaunchContext* ctx, const SimOptions& sim) {
   if (params.size() != kernel.params.size()) {
     throw std::runtime_error("launch: parameter count mismatch for kernel " + kernel.name);
   }
@@ -1825,7 +1788,7 @@ LaunchStats launch(const Kernel& kernel, const regalloc::AllocationResult& alloc
   obs::KernelSimProfile* kprof =
       collector ? &collector->begin_kernel_profile(kernel.name) : nullptr;
 
-  const SimDispatch dispatch = sim_dispatch();
+  const SimDispatch dispatch = sim.dispatch;
   const bool want_super = dispatch == SimDispatch::kSuper;
   // Decode (or reuse) the per-instruction side table and superblock
   // partition. The decoded state is a pure function of the revalidation
@@ -1880,12 +1843,15 @@ LaunchStats launch(const Kernel& kernel, const regalloc::AllocationResult& alloc
   // SMs are architecturally independent, so each one can be simulated on its
   // own host thread against private LaunchStats/SmProfile storage. Kernels
   // with atomics are the sanctioned exception — cross-SM read-modify-write
-  // order matters — so they always take the sequential path. The debug-mode
-  // overlap checker guards the independence assumption for everything else.
-  const int threads = sim_threads();
+  // order matters — so they always take the sequential path. The overlap
+  // checker, when armed, guards the independence assumption for everything
+  // else. Inside a pool job (an eval_grid cell) the job owns the threads.
+  const int threads = support::ThreadPool::in_parallel_for() ? 1
+                      : sim.threads > 0                      ? sim.threads
+                                                             : sim_threads();
   bool parallel = threads > 1 && work.size() > 1 && !dk.has_atomics;
   bool overlap_fallback = false;
-  if (parallel && overlap_check_enabled() &&
+  if (parallel && sim.check_overlap &&
       !sm_writes_disjoint(kernel, dk, alloc, spec, mem, params, cfg, work, blocks_per_sm)) {
     parallel = false;
     overlap_fallback = true;

@@ -67,7 +67,7 @@ struct LaunchStats {
   obs::json::Value to_json() const;
 };
 
-// -- host threading knobs ------------------------------------------------------
+// -- host threading ------------------------------------------------------------
 //
 // SMs are architecturally independent, so the simulator can run each SM's
 // block list on its own host thread. Every per-SM counter and profile is
@@ -77,25 +77,13 @@ struct LaunchStats {
 // the one sanctioned form of inter-block sharing, and their sequential order
 // is part of the deterministic results contract.
 
-/// Overrides the simulator worker-thread count for subsequent launches.
-/// `n <= 0` restores the default: SAFARA_SIM_THREADS if set, otherwise
-/// std::thread::hardware_concurrency(). A count of 1 reproduces the exact
-/// sequential seed schedule (no pool involvement at all).
+/// Sets the process-wide simulator thread budget, a deployment setting a
+/// main() sets once. `n <= 0` restores the default: SAFARA_SIM_THREADS if
+/// set, otherwise std::thread::hardware_concurrency(). A count of 1
+/// reproduces the exact sequential seed schedule (no pool involvement).
 void set_sim_threads(int n);
-/// The thread count the next launch will use (always >= 1).
+/// The process-wide thread budget (always >= 1).
 int sim_threads();
-
-/// Arms the cross-SM memory-overlap checker that guards the SM-independence
-/// assumption: before a parallel launch, the kernel is first simulated
-/// sequentially against a scratch copy of device memory, recording each SM's
-/// read/write sets; if one SM writes memory another SM touches, the real run
-/// falls back to sequential with a `sim.overlap_fallbacks` diagnostic.
-enum class OverlapCheckMode : std::uint8_t {
-  kAuto,  // on when SAFARA_SIM_CHECK_OVERLAP=1 or in assert-enabled builds
-  kOff,
-  kOn,
-};
-void set_sim_overlap_check(OverlapCheckMode mode);
 
 // -- dispatch engine -----------------------------------------------------------
 //
@@ -116,17 +104,34 @@ enum class SimDispatch : std::uint8_t {
   kRef,
 };
 
-/// Overrides the dispatch engine for subsequent launches.
-void set_sim_dispatch(SimDispatch d);
-/// Clears any override: SAFARA_SIM_DISPATCH={super,ref} if set, else kSuper.
-void reset_sim_dispatch();
-/// The engine the next launch will use.
-SimDispatch sim_dispatch();
-
-/// Parses "super" / "ref" (as accepted by SAFARA_SIM_DISPATCH and the
-/// --sim-dispatch flags). Returns false and leaves `out` untouched otherwise.
+/// Parses "super" / "ref" (as accepted by the --sim-dispatch flag). Returns
+/// false and leaves `out` untouched otherwise.
 bool parse_sim_dispatch(std::string_view text, SimDispatch& out);
 const char* to_string(SimDispatch d);
+
+/// How one launch is simulated. On a race-free kernel none of these
+/// settings changes a result: stats, profiles and device memory are
+/// bit-identical for every value.
+struct SimOptions {
+  /// Host threads for the launch's SMs; <= 0 means the process budget,
+  /// sim_threads(). A launch made inside a support::ThreadPool::parallel_for
+  /// job (an eval_grid cell, say) always uses one: that job's participants
+  /// already fill the budget.
+  int threads = 0;
+  SimDispatch dispatch = SimDispatch::kSuper;
+  /// Arms the overlap checker that guards the SM-independence assumption: a
+  /// parallel launch first replays sequentially on a scratch copy of device
+  /// memory and, if one SM writes memory another SM touches, runs
+  /// sequentially with a `sim.overlap_fallbacks` diagnostic. On by default in
+  /// assert-enabled builds.
+#ifdef NDEBUG
+  bool check_overlap = false;
+#else
+  bool check_overlap = true;
+#endif
+
+  bool operator==(const SimOptions&) const = default;
+};
 
 /// Static classification of one opcode by the superblock builder. Every
 /// vir::Opcode is either a block terminator (memory, atomic, control flow) or
@@ -147,7 +152,7 @@ class LaunchContext;
 /// When `collector` is non-null the simulator additionally records a
 /// per-kernel, per-SM cycle/stall profile into it. Profiling is purely
 /// observational: cycle counts and functional results are identical with and
-/// without a collector attached — and identical for any `sim_threads()`.
+/// without a collector attached — and identical for any `sim` options.
 ///
 /// When `ctx` is non-null it caches the decoded-instruction side table and
 /// superblock partition across launches of the same (kernel, allocation,
@@ -155,7 +160,8 @@ class LaunchContext;
 LaunchStats launch(const vir::Kernel& kernel, const regalloc::AllocationResult& alloc,
                    const DeviceSpec& spec, DeviceMemory& mem,
                    const std::vector<std::uint64_t>& params, const LaunchConfig& cfg,
-                   obs::Collector* collector = nullptr, LaunchContext* ctx = nullptr);
+                   obs::Collector* collector = nullptr, LaunchContext* ctx = nullptr,
+                   const SimOptions& sim = {});
 
 /// Opaque per-kernel launch-state cache. Without one, every launch() re-runs
 /// decode(): the per-instruction side table and (under kSuper) the superblock
@@ -168,7 +174,7 @@ LaunchStats launch(const vir::Kernel& kernel, const regalloc::AllocationResult& 
 /// context (tests/test_sim.cpp proves it at 1 and N sim threads).
 ///
 /// The cached state is read-only during simulation, so a context may be used
-/// with any sim_threads() count — but one context must not be passed to two
+/// with any thread count — but one context must not be passed to two
 /// concurrent launch() calls, and the caller keying contexts by kernel must
 /// keep the kernel/allocation objects alive and at stable addresses for the
 /// context's lifetime (rt::Runtime does: per-cell Runtimes in eval_grid each
@@ -184,7 +190,7 @@ class LaunchContext {
   friend LaunchStats launch(const vir::Kernel&, const regalloc::AllocationResult&,
                             const DeviceSpec&, DeviceMemory&,
                             const std::vector<std::uint64_t>&, const LaunchConfig&,
-                            obs::Collector*, LaunchContext*);
+                            obs::Collector*, LaunchContext*, const SimOptions&);
   struct Impl;
   std::unique_ptr<Impl> impl_;
 };

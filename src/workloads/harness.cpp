@@ -47,7 +47,7 @@ obs::json::Value RunResult::to_json() const {
 }
 
 RunResult simulate(const Workload& w, const driver::CompilerOptions& opts,
-                   const vgpu::DeviceSpec& spec, obs::Collector* collector) {
+                   obs::Collector* collector, const vgpu::SimOptions& sim) {
   using Clock = std::chrono::steady_clock;
   auto ms_since = [](Clock::time_point t0) {
     return std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
@@ -61,8 +61,8 @@ RunResult simulate(const Workload& w, const driver::CompilerOptions& opts,
   const double compile_ms = ms_since(compile_start);
 
   Dataset data = w.make_dataset();
-  rt::Device dev(spec);
-  rt::Runtime runtime(dev);
+  rt::Device dev(opts.device);
+  rt::Runtime runtime(dev, sim);
 
   std::map<std::string, rt::Buffer> buffers;
   rt::ArgMap args;
@@ -130,14 +130,6 @@ RunResult run_reference(const Workload& w) {
   RunResult result;
   result.checksum = checksum_of(data, w.outputs);
   return result;
-}
-
-double speedup(const Workload& w, const driver::CompilerOptions& baseline,
-               const driver::CompilerOptions& candidate) {
-  RunResult base = simulate(w, baseline);
-  RunResult cand = simulate(w, candidate);
-  if (cand.cycles == 0) return 1.0;
-  return static_cast<double>(base.cycles) / static_cast<double>(cand.cycles);
 }
 
 }  // namespace safara::workloads

@@ -46,18 +46,14 @@ struct RunResult {
 /// Checksum over the workload's declared output arrays.
 double checksum_of(const Dataset& data, const std::vector<std::string>& outputs);
 
-/// Compiles `w` with `opts` and runs it for `w.time_steps` steps. A non-null
-/// `collector` observes both the compilation (pass spans, SAFARA iterations)
-/// and every simulated launch (cycle/stall profiles).
+/// Compiles `w` with `opts` and runs it for `w.time_steps` steps on
+/// `opts.device`, every launch under `sim`. A non-null `collector` observes
+/// both the compilation (pass spans, SAFARA iterations) and every simulated
+/// launch (cycle/stall profiles).
 RunResult simulate(const Workload& w, const driver::CompilerOptions& opts,
-                   const vgpu::DeviceSpec& spec = vgpu::DeviceSpec::k20xm(),
-                   obs::Collector* collector = nullptr);
+                   obs::Collector* collector = nullptr, const vgpu::SimOptions& sim = {});
 
 /// Runs the sequential CPU reference (same dataset builder).
 RunResult run_reference(const Workload& w);
-
-/// speedup = cycles(baseline) / cycles(candidate); > 1 means candidate wins.
-double speedup(const Workload& w, const driver::CompilerOptions& baseline,
-               const driver::CompilerOptions& candidate);
 
 }  // namespace safara::workloads

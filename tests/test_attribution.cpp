@@ -30,13 +30,8 @@ std::string profiles_dump(const obs::Collector& c) {
 
 workloads::RunResult run_with(const workloads::Workload& w, vgpu::SimDispatch dispatch,
                               int threads, obs::Collector& c) {
-  vgpu::set_sim_dispatch(dispatch);
-  vgpu::set_sim_threads(threads);
-  driver::CompilerOptions opts = driver::CompilerOptions::openuh_safara_clauses();
-  workloads::RunResult r = workloads::simulate(w, opts, opts.device, &c);
-  vgpu::reset_sim_dispatch();
-  vgpu::set_sim_threads(0);
-  return r;
+  return workloads::simulate(w, driver::CompilerOptions::openuh_safara_clauses(), &c,
+                             {.threads = threads, .dispatch = dispatch});
 }
 
 TEST(Attribution, BitIdenticalAcrossEnginesAndThreadCounts) {
@@ -88,7 +83,7 @@ TEST(Attribution, PerLineRollupSumsToLaunchTotal) {
   ASSERT_NE(w, nullptr);
   driver::CompilerOptions opts = driver::CompilerOptions::openuh_safara_clauses();
   obs::Collector c;
-  workloads::simulate(*w, opts, opts.device, &c);
+  workloads::simulate(*w, opts, &c);
   driver::Compiler compiler(opts);
   driver::CompiledProgram prog = compiler.compile(w->source, w->function);
 

@@ -1,10 +1,14 @@
 // Compiler-driver API tests: error paths, persona behaviour, multi-region
-// programs, reports, the option fingerprint, and the paper-table structural
-// facts the benches rely on (seismic has 7 kernels, sp has 10, register
-// orderings hold).
+// programs, reports, the option fingerprint, the shared run-flag table, and
+// the paper-table structural facts the benches rely on (seismic has 7
+// kernels, sp has 10, register orderings hold).
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string_view>
+
 #include "ast/printer.hpp"
+#include "driver/run_options.hpp"
 #include "tests_common.hpp"
 #include "workloads/harness.hpp"
 
@@ -258,6 +262,77 @@ TEST(CacheKey, OptionsFingerprintCoversAllocatorAndDevice) {
   b = a;
   b.safara_feedback_cache = !b.safara_feedback_cache;
   EXPECT_EQ(base, driver::options_fingerprint(b));
+}
+
+// -- the shared run-flag table ----------------------------------------------------
+
+/// Runs `args` (after a program name) through the run-flag table into `run`;
+/// returns the arguments it left for the binary.
+std::vector<std::string> parse_run_flags(std::vector<std::string> args,
+                                         driver::RunOptions& run) {
+  args.insert(args.begin(), "prog");
+  std::vector<char*> argv;
+  for (std::string& a : args) argv.push_back(a.data());
+  const int argc = static_cast<int>(argv.size());
+  std::vector<std::string> rest;
+  for (int i = 1; i < argc; ++i) {
+    if (!driver::parse_run_flag("prog", argc, argv.data(), i, run)) rest.push_back(argv[i]);
+  }
+  return rest;
+}
+
+TEST(RunFlags, EveryCompilerFlagMovesTheFingerprint) {
+  // Every row gets a non-default value: a row added without one fails here,
+  // and so does a compiler row whose field the fingerprint misses (the
+  // feedback cache would then answer a compile made under other options).
+  const std::map<std::string_view, std::string_view> non_default = {
+      {"--sim-threads", "3"},   {"--sim-dispatch", "ref"}, {"--sim-check-overlap", ""},
+      {"--regalloc", "linear"}, {"--spill-mem", "auto"},   {"--opt-level", "0"},
+  };
+  driver::RunOptions base;
+  base.sim.check_overlap = false;  // leaves the switch something to arm in every build
+  const std::uint64_t fingerprint = driver::options_fingerprint(base.compiler);
+  for (const driver::RunFlag& flag : driver::run_flags()) {
+    SCOPED_TRACE(std::string(flag.name));
+    const auto value = non_default.find(flag.name);
+    ASSERT_NE(value, non_default.end()) << "no non-default value for this flag";
+    driver::RunOptions run = base;
+    ASSERT_TRUE(flag.apply(value->second, run));
+    if (run.sim != base.sim) continue;  // a simulator flag
+    EXPECT_NE(driver::options_fingerprint(run.compiler), fingerprint);
+  }
+}
+
+TEST(RunFlags, AcceptsBothFormsAndLeavesOtherArguments) {
+  driver::RunOptions run;
+  run.sim.check_overlap = false;
+  const std::vector<std::string> rest =
+      parse_run_flags({"--regalloc", "linear", "--opt-level=1", "--fn", "f", "--sim-check-overlap",
+                       "--sim-dispatch=ref", "--sim-threads", "3", "--spill-mem", "shared"},
+                      run);
+  EXPECT_EQ(rest, (std::vector<std::string>{"--fn", "f"}));
+  EXPECT_EQ(run.compiler.regalloc.strategy, regalloc::Strategy::kLinear);
+  EXPECT_EQ(run.compiler.regalloc.spill_mem, regalloc::SpillMem::kShared);
+  EXPECT_EQ(run.compiler.opt_level, 1);
+  EXPECT_EQ(run.sim.threads, 3);
+  EXPECT_EQ(run.sim.dispatch, vgpu::SimDispatch::kRef);
+  EXPECT_TRUE(run.sim.check_overlap);
+}
+
+TEST(RunFlags, BadValuesExitWithAUsageError) {
+  // Re-exec rather than fork: an earlier test may have started the shared
+  // thread pool, whose destructor std::exit would run in a forked child that
+  // has none of its threads.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  driver::RunOptions run;
+  EXPECT_EXIT(parse_run_flags({"--opt-level", "3"}, run), ::testing::ExitedWithCode(2),
+              "prog: --opt-level expects 0, 1, or 2, got '3'");
+  EXPECT_EXIT(parse_run_flags({"--sim-threads=4x"}, run), ::testing::ExitedWithCode(2),
+              "prog: --sim-threads expects an integer, got '4x'");
+  EXPECT_EXIT(parse_run_flags({"--regalloc", "greedy"}, run), ::testing::ExitedWithCode(2),
+              "prog: --regalloc expects 'linear' or 'color', got 'greedy'");
+  EXPECT_EXIT(parse_run_flags({"--sim-dispatch"}, run), ::testing::ExitedWithCode(2),
+              "prog: missing value for '--sim-dispatch'");
 }
 
 }  // namespace

@@ -397,15 +397,13 @@ void f(int n, const float *x, float *y) {
 
 // -- parallel-simulation determinism ------------------------------------------
 //
-// The contract of vgpu::set_sim_threads: for any thread count, every launch
-// produces bit-identical LaunchStats, per-SM profiles, and device memory.
+// The contract of vgpu::SimOptions::threads: for any thread count, every
+// launch produces bit-identical LaunchStats, per-SM profiles, and device
+// memory.
 
-/// Restores the simulator threading knobs when a test exits (even on failure).
+/// Restores the process thread budget when a test exits (even on failure).
 struct SimThreadGuard {
-  ~SimThreadGuard() {
-    vgpu::set_sim_threads(0);
-    vgpu::set_sim_overlap_check(vgpu::OverlapCheckMode::kAuto);
-  }
+  ~SimThreadGuard() { vgpu::set_sim_threads(0); }
 };
 
 struct SimSnapshot {
@@ -415,11 +413,9 @@ struct SimSnapshot {
 };
 
 SimSnapshot snapshot_workload(const workloads::Workload& w, int threads) {
-  vgpu::set_sim_threads(threads);
   obs::Collector collector;
   workloads::RunResult r = workloads::simulate(
-      w, driver::CompilerOptions::openuh_safara_clauses(), vgpu::DeviceSpec::k20xm(),
-      &collector);
+      w, driver::CompilerOptions::openuh_safara_clauses(), &collector, {.threads = threads});
   SimSnapshot s;
   s.result = r.to_json().dump(2);
   s.profiles = collector.sim_to_json().dump(2);
@@ -459,7 +455,6 @@ TEST(SimDeterminism, SimThreadsEnvParsedStrictly) {
 }
 
 TEST(SimDeterminism, AllWorkloadsBitIdenticalAcrossThreadCounts) {
-  SimThreadGuard guard;
   const int hw = static_cast<int>(std::thread::hardware_concurrency());
   const int wide = std::max(4, hw);  // thread counts above the core count are valid
   for (const workloads::Workload& w : workloads::all_workloads()) {
@@ -481,7 +476,6 @@ TEST(SimDeterminism, DecodeCacheReuseBitIdenticalAcrossThreadCounts) {
   // of re-running decode(). The cache is pure memoization: stats, profiles,
   // and device memory must be bit-identical to cold-decoding every launch,
   // at any sim thread count.
-  SimThreadGuard guard;
   const char* src = R"(
 void f(int n, const float *x, float *y) {
   #pragma acc parallel loop gang vector(64)
@@ -499,7 +493,7 @@ void f(int n, const float *x, float *y) {
   // Launches the kernel kLaunches times; with `reuse` one Runtime (and thus
   // one cached LaunchContext) serves every launch, otherwise each launch
   // gets a fresh Runtime and decodes from scratch.
-  auto launch_many = [&](bool reuse, obs::Collector* collector) {
+  auto launch_many = [&](bool reuse, int threads, obs::Collector* collector) {
     rt::Device dev;
     rt::Runtime setup(dev);
     rt::Buffer xb = setup.alloc(ast::ScalarType::kF32, {{0, kN}});
@@ -512,9 +506,9 @@ void f(int n, const float *x, float *y) {
     args.emplace("x", &xb);
     args.emplace("y", &yb);
     std::string stats;
-    rt::Runtime shared(dev);
+    rt::Runtime shared(dev, {.threads = threads});
     for (int l = 0; l < kLaunches; ++l) {
-      rt::Runtime fresh(dev);
+      rt::Runtime fresh(dev, {.threads = threads});
       rt::Runtime& r = reuse ? shared : fresh;
       stats += r.launch(k.kernel, k.alloc, k.plan, args, collector).to_json().dump(2);
       stats += "\n";
@@ -528,10 +522,9 @@ void f(int n, const float *x, float *y) {
   std::string first_stats;
   for (int threads : {1, std::max(4, hw)}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
-    vgpu::set_sim_threads(threads);
     obs::Collector cold_c, warm_c;
-    const auto cold = launch_many(/*reuse=*/false, &cold_c);
-    const auto warm = launch_many(/*reuse=*/true, &warm_c);
+    const auto cold = launch_many(/*reuse=*/false, threads, &cold_c);
+    const auto warm = launch_many(/*reuse=*/true, threads, &warm_c);
     // The cache actually engaged: every launch after the first was a hit,
     // and the cold path never hit.
     EXPECT_EQ(warm_c.metrics.counter("sim.decode_cache_hits"), kLaunches - 1);
@@ -558,9 +551,7 @@ void f(int n, const float *x, float *y) {
     y[0] = x[i];
   }
 })";
-  SimThreadGuard guard;
   auto run_once = [&](int threads, obs::Collector* collector) {
-    vgpu::set_sim_threads(threads);
     Data data;
     data.arrays.emplace("x", f32_array({{0, 4096}}));
     data.arrays.emplace("y", f32_array({{0, 4}}));
@@ -568,10 +559,10 @@ void f(int n, const float *x, float *y) {
     data.scalars.emplace("n", rt::ScalarValue::of_i32(4096));
     driver::Compiler compiler(driver::CompilerOptions::openuh_base());
     auto prog = compiler.compile(src);
-    auto stats = run_sim(prog, data, vgpu::DeviceSpec::k20xm(), collector);
+    auto stats = run_sim(prog, data, vgpu::DeviceSpec::k20xm(), collector,
+                         {.threads = threads, .check_overlap = true});
     return std::make_pair(stats[0].cycles, data.array("y").get(0));
   };
-  vgpu::set_sim_overlap_check(vgpu::OverlapCheckMode::kOn);
   const auto seq = run_once(1, nullptr);
   obs::Collector collector;
   const auto par = run_once(4, &collector);
@@ -594,9 +585,7 @@ void f(int n, const float *x, float *sum) {
     sum[0] += x[i];
   }
 })";
-  SimThreadGuard guard;
   auto run_once = [&](int threads) {
-    vgpu::set_sim_threads(threads);
     Data data;
     data.arrays.emplace("x", f32_array({{0, 5000}}));
     data.arrays.emplace("sum", f32_array({{0, 1}}));
@@ -604,7 +593,7 @@ void f(int n, const float *x, float *sum) {
     data.scalars.emplace("n", rt::ScalarValue::of_i32(5000));
     driver::Compiler compiler(driver::CompilerOptions::openuh_base());
     auto prog = compiler.compile(src);
-    run_sim(prog, data);
+    run_sim(prog, data, vgpu::DeviceSpec::k20xm(), nullptr, {.threads = threads});
     return data.array("sum").get(0);
   };
   const double seq = run_once(1);

@@ -6,7 +6,9 @@
 // shared thread pool.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdlib>
+#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -21,10 +23,9 @@ namespace {
 
 using vgpu::SimDispatch;
 
-/// Restores every simulator/grid knob a test may override, even on failure.
-struct DispatchGuard {
-  ~DispatchGuard() {
-    vgpu::reset_sim_dispatch();
+/// Restores both host-thread budgets a test may override, even on failure.
+struct BudgetGuard {
+  ~BudgetGuard() {
     vgpu::set_sim_threads(0);
     driver::set_grid_threads(0);
   }
@@ -78,12 +79,10 @@ struct SimSnapshot {
 
 SimSnapshot snapshot_workload(const workloads::Workload& w, SimDispatch dispatch,
                               int threads) {
-  vgpu::set_sim_dispatch(dispatch);
-  vgpu::set_sim_threads(threads);
   obs::Collector collector;
-  workloads::RunResult r = workloads::simulate(
-      w, driver::CompilerOptions::openuh_safara_clauses(), vgpu::DeviceSpec::k20xm(),
-      &collector);
+  workloads::RunResult r =
+      workloads::simulate(w, driver::CompilerOptions::openuh_safara_clauses(), &collector,
+                          {.threads = threads, .dispatch = dispatch});
   SimSnapshot s;
   s.result = r.to_json().dump(2);
   s.profiles = collector.sim_to_json().dump(2);
@@ -96,7 +95,6 @@ TEST(SuperblockDispatch, AllWorkloadsBitIdenticalToReference) {
   // per-SM profiles, and output checksums must match the per-instruction
   // reference interpreter bit for bit — for every workload, sequentially and
   // with the SM loop spread over host threads.
-  DispatchGuard guard;
   const int hw = static_cast<int>(std::thread::hardware_concurrency());
   const int wide = std::max(4, hw);
   for (const workloads::Workload& w : workloads::all_workloads()) {
@@ -113,24 +111,21 @@ TEST(SuperblockDispatch, AllWorkloadsBitIdenticalToReference) {
 }
 
 TEST(SuperblockDispatch, FastPathMetricsOnlyUnderSuper) {
-  DispatchGuard guard;
   const workloads::Workload* w = workloads::find_workload("355.seismic");
   ASSERT_NE(w, nullptr);
 
-  vgpu::set_sim_dispatch(SimDispatch::kSuper);
   obs::Collector with_super;
-  workloads::simulate(*w, driver::CompilerOptions::openuh_safara_clauses(),
-                      vgpu::DeviceSpec::k20xm(), &with_super);
+  workloads::simulate(*w, driver::CompilerOptions::openuh_safara_clauses(), &with_super,
+                      {.dispatch = SimDispatch::kSuper});
   const auto& super_counters = with_super.metrics.counters();
   ASSERT_TRUE(super_counters.count("sim.superblocks"));
   ASSERT_TRUE(super_counters.count("sim.superblock_retires"));
   EXPECT_GT(super_counters.at("sim.superblocks"), 0);
   EXPECT_GT(super_counters.at("sim.superblock_retires"), 0);
 
-  vgpu::set_sim_dispatch(SimDispatch::kRef);
   obs::Collector with_ref;
-  workloads::simulate(*w, driver::CompilerOptions::openuh_safara_clauses(),
-                      vgpu::DeviceSpec::k20xm(), &with_ref);
+  workloads::simulate(*w, driver::CompilerOptions::openuh_safara_clauses(), &with_ref,
+                      {.dispatch = SimDispatch::kRef});
   const auto& ref_counters = with_ref.metrics.counters();
   EXPECT_FALSE(ref_counters.count("sim.superblock_retires"))
       << "reference interpreter must not touch the fast path";
@@ -151,7 +146,7 @@ TEST(SuperblockDispatch, ParseAndEnvNamesRoundTrip) {
 // -- parallel evaluation grid -------------------------------------------------
 
 TEST(EvalGrid, ParallelismRespectsBudgetAndCellCount) {
-  DispatchGuard guard;
+  BudgetGuard guard;
   driver::set_grid_threads(8);
   EXPECT_EQ(driver::grid_parallelism(3), 3);    // never more lanes than cells
   EXPECT_EQ(driver::grid_parallelism(100), 8);  // capped by the thread budget
@@ -164,7 +159,7 @@ TEST(EvalGrid, GridThreadsEnvParsedStrictly) {
   // With no programmatic override, grid_threads() reads SAFARA_GRID_THREADS
   // per call. Malformed values ("2abc" was worth 2 under atoi, "abc" worth 0)
   // must be ignored in favour of the sim_threads() fallback.
-  DispatchGuard guard;
+  BudgetGuard guard;
   driver::set_grid_threads(0);
   vgpu::set_sim_threads(5);  // pins the fallback so it is distinguishable
   const char* kVar = "SAFARA_GRID_THREADS";
@@ -194,7 +189,7 @@ TEST(EvalGrid, CellResultsBitIdenticalAcrossParallelism) {
   // The grid contract: cell results depend only on the cell index, never on
   // how many cells run concurrently. Simulate a small workload x config grid
   // serially and with four lanes and require byte-identical rows.
-  DispatchGuard guard;
+  BudgetGuard guard;
   std::vector<const workloads::Workload*> ws = {workloads::find_workload("352.ep"),
                                                 workloads::find_workload("354.cg")};
   ASSERT_NE(ws[0], nullptr);
@@ -224,19 +219,61 @@ TEST(EvalGrid, CellResultsBitIdenticalAcrossParallelism) {
   }
 }
 
-TEST(EvalGrid, RestoresInnerSimThreadsAfterParallelRun) {
-  // Parallel grids pin the per-launch SM parallelism to one thread for the
-  // duration of the fan-out (ThreadPool::parallel_for is not reentrant); the
-  // previous setting must come back afterwards, lanes or no lanes.
-  DispatchGuard guard;
+TEST(EvalGrid, CellsDoNotWriteTheSimBudget) {
+  // A parallel grid keeps its cells' launches on one host thread without
+  // touching the process budget: the cells see the budget unchanged, and a
+  // launch inside one (a pool job) never takes the parallel SM path.
+  BudgetGuard guard;
   vgpu::set_sim_threads(3);
   driver::set_grid_threads(4);
-  driver::eval_grid(4, [](std::int64_t) {});
+  const workloads::Workload* w = workloads::find_workload("303.ostencil");
+  ASSERT_NE(w, nullptr);
+  std::vector<int> budget_seen(4, 0);
+  std::vector<obs::Collector> collectors(4);
+  driver::eval_grid(4, [&](std::int64_t i) {
+    budget_seen[static_cast<std::size_t>(i)] = vgpu::sim_threads();
+    workloads::simulate(*w, driver::CompilerOptions::openuh_base(),
+                        &collectors[static_cast<std::size_t>(i)]);
+  });
+  for (std::size_t i = 0; i < collectors.size(); ++i) {
+    SCOPED_TRACE("cell " + std::to_string(i));
+    EXPECT_EQ(budget_seen[i], 3);
+    EXPECT_GT(collectors[i].metrics.counter("sim.launches"), 0);
+    EXPECT_EQ(collectors[i].metrics.counter("sim.parallel_launches"), 0);
+  }
   EXPECT_EQ(vgpu::sim_threads(), 3);
 }
 
+TEST(EvalGrid, ConcurrentGridsRunEveryCellOnce) {
+  // Two host threads may run grids at once: the pool serves one and runs the
+  // other inline, so every cell of both runs exactly once and neither waits
+  // on the other forever.
+  BudgetGuard guard;
+  driver::set_grid_threads(4);
+  constexpr int kRounds = 200;
+  constexpr std::int64_t kCells = 64;
+  for (int round = 0; round < kRounds; ++round) {
+    std::vector<std::atomic<int>> runs_a(kCells), runs_b(kCells);
+    auto grid = [&](std::vector<std::atomic<int>>& runs) {
+      driver::eval_grid(kCells, [&](std::int64_t i) {
+        runs[static_cast<std::size_t>(i)].fetch_add(1, std::memory_order_relaxed);
+      });
+    };
+    std::thread a(grid, std::ref(runs_a));
+    std::thread b(grid, std::ref(runs_b));
+    a.join();
+    b.join();
+    for (std::int64_t i = 0; i < kCells; ++i) {
+      ASSERT_EQ(runs_a[static_cast<std::size_t>(i)].load(), 1)
+          << "round " << round << " cell " << i;
+      ASSERT_EQ(runs_b[static_cast<std::size_t>(i)].load(), 1)
+          << "round " << round << " cell " << i;
+    }
+  }
+}
+
 TEST(EvalGrid, RecordsGridMetrics) {
-  DispatchGuard guard;
+  BudgetGuard guard;
   driver::set_grid_threads(2);
   obs::Collector collector;
   driver::eval_grid(6, [](std::int64_t) {}, &collector);

@@ -66,6 +66,16 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Range(0, 6)),
     param_name);
 
+TEST(Harness, SimulateRunsOnTheOptionsDevice) {
+  // The device a run compiles for is the device it simulates on: half the
+  // K20Xm's SMs leave each one twice the blocks to get through.
+  const Workload* w = find_workload("303.ostencil");
+  ASSERT_NE(w, nullptr);
+  driver::CompilerOptions seven_sms;
+  seven_sms.device.num_sms = 7;
+  EXPECT_GT(simulate(*w, seven_sms).cycles, simulate(*w, driver::CompilerOptions{}).cycles);
+}
+
 TEST(Workloads, RegistryIsComplete) {
   EXPECT_EQ(all_workloads().size(), 16u);
   EXPECT_EQ(spec_suite().size(), 10u);

@@ -33,14 +33,15 @@ inline driver::RefArgMap ref_args(Data& d) {
   return args;
 }
 
-/// Runs every kernel of `prog` once, with `data` arrays living on the
-/// simulated device; results are copied back into `data`.
+/// Runs every kernel of `prog` once under `sim`, with `data` arrays living on
+/// the simulated device; results are copied back into `data`.
 inline std::vector<vgpu::LaunchStats> run_sim(const driver::CompiledProgram& prog,
                                               Data& data,
                                               vgpu::DeviceSpec spec = vgpu::DeviceSpec::k20xm(),
-                                              obs::Collector* collector = nullptr) {
+                                              obs::Collector* collector = nullptr,
+                                              const vgpu::SimOptions& sim = {}) {
   rt::Device dev(spec);
-  rt::Runtime runtime(dev);
+  rt::Runtime runtime(dev, sim);
   std::map<std::string, rt::Buffer> buffers;
   rt::ArgMap args;
   for (auto& [name, arr] : data.arrays) {

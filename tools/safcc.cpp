@@ -34,6 +34,7 @@
 
 #include "ast/printer.hpp"
 #include "driver/compiler.hpp"
+#include "driver/run_options.hpp"
 #include "obs/collector.hpp"
 #include "support/arena.hpp"
 #include "support/string_util.hpp"
@@ -55,8 +56,8 @@ void usage() {
                "             [--verify-clauses] [--trace-out=FILE] [--metrics-out=FILE]\n"
                "             [--time-passes] [--alloc-stats] [--workload NAME] [--sim-profile]\n"
                "             [--sim-profile-out=FILE] [--annotate]\n"
-               "             [--sim-threads N] [--sim-dispatch super|ref] [--sim-compare]\n"
-               "             [--simulate]\n");
+               "             [--sim-threads N] [--sim-dispatch super|ref] [--sim-check-overlap]\n"
+               "             [--sim-compare] [--simulate]\n");
 }
 
 /// Strict integer parsing for flag values: the whole token must be a number.
@@ -465,14 +466,14 @@ void diff_json(const obs::json::Value& a, const obs::json::Value& b, const std::
 
 /// Runs the workload once per dispatch engine and hard-fails (exit 1) on any
 /// divergence in stats, profiles, or checksums.
-int run_sim_compare(const workloads::Workload& w, const driver::CompilerOptions& opts) {
+int run_sim_compare(const workloads::Workload& w, const driver::CompilerOptions& opts,
+                    vgpu::SimOptions sim) {
   obs::Collector c_super;
-  vgpu::set_sim_dispatch(vgpu::SimDispatch::kSuper);
-  workloads::RunResult r_super = workloads::simulate(w, opts, opts.device, &c_super);
+  sim.dispatch = vgpu::SimDispatch::kSuper;
+  workloads::RunResult r_super = workloads::simulate(w, opts, &c_super, sim);
   obs::Collector c_ref;
-  vgpu::set_sim_dispatch(vgpu::SimDispatch::kRef);
-  workloads::RunResult r_ref = workloads::simulate(w, opts, opts.device, &c_ref);
-  vgpu::reset_sim_dispatch();
+  sim.dispatch = vgpu::SimDispatch::kRef;
+  workloads::RunResult r_ref = workloads::simulate(w, opts, &c_ref, sim);
 
   std::vector<std::string> diffs;
   diff_json(compare_doc(r_super, c_super), compare_doc(r_ref, c_ref), "", diffs);
@@ -510,14 +511,11 @@ int main(int argc, char** argv) {
   bool simulate = false;
   int unroll = 0;
   int max_regs = 0;
-  int opt_level = -1;  // -1: keep the CompilerOptions default
   bool verify = false;
-  bool have_regalloc = false;
-  regalloc::Strategy regalloc_strategy = regalloc::Strategy::kColor;
-  bool have_spill_mem = false;
-  regalloc::SpillMem spill_mem = regalloc::SpillMem::kLocal;
+  driver::RunOptions run;
 
   for (int i = 1; i < argc; ++i) {
+    if (driver::parse_run_flag("safcc", argc, argv, i, run)) continue;
     std::string arg = argv[i];
     auto next = [&]() -> const char* {
       if (i + 1 >= argc) {
@@ -551,50 +549,8 @@ int main(int argc, char** argv) {
       unroll = parse_int_flag("--unroll", value.c_str());
       continue;
     }
-    if (eat_value("--sim-threads", &value)) {
-      vgpu::set_sim_threads(parse_int_flag("--sim-threads", value.c_str()));
-      continue;
-    }
-    if (eat_value("--sim-dispatch", &value)) {
-      vgpu::SimDispatch d;
-      if (!vgpu::parse_sim_dispatch(value, d)) {
-        std::fprintf(stderr, "safcc: --sim-dispatch expects 'super' or 'ref', got '%s'\n",
-                     value.c_str());
-        return 2;
-      }
-      vgpu::set_sim_dispatch(d);
-      continue;
-    }
     if (eat_value("--max-regs", &value)) {
       max_regs = parse_int_flag("--max-regs", value.c_str());
-      continue;
-    }
-    if (eat_value("--regalloc", &value)) {
-      if (!regalloc::parse_strategy(value, regalloc_strategy)) {
-        std::fprintf(stderr, "safcc: --regalloc expects 'linear' or 'color', got '%s'\n",
-                     value.c_str());
-        return 2;
-      }
-      have_regalloc = true;
-      continue;
-    }
-    if (eat_value("--spill-mem", &value)) {
-      if (!regalloc::parse_spill_mem(value, spill_mem)) {
-        std::fprintf(stderr,
-                     "safcc: --spill-mem expects 'local', 'shared', or 'auto', got '%s'\n",
-                     value.c_str());
-        return 2;
-      }
-      have_spill_mem = true;
-      continue;
-    }
-    if (eat_value("--opt-level", &value)) {
-      opt_level = parse_int_flag("--opt-level", value.c_str());
-      if (opt_level < 0 || opt_level > 2) {
-        std::fprintf(stderr, "safcc: --opt-level expects 0, 1, or 2, got '%s'\n",
-                     value.c_str());
-        return 2;
-      }
       continue;
     }
     if (arg == "--emit-vir") emit_vir = true;
@@ -645,13 +601,14 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  driver::CompilerOptions opts;
-  if (config == "base") opts = driver::CompilerOptions::openuh_base();
-  else if (config == "small") opts = driver::CompilerOptions::openuh_small();
-  else if (config == "small_dim") opts = driver::CompilerOptions::openuh_small_dim();
-  else if (config == "safara") opts = driver::CompilerOptions::openuh_safara();
-  else if (config == "safara_clauses") opts = driver::CompilerOptions::openuh_safara_clauses();
-  else if (config == "pgi") opts = driver::CompilerOptions::pgi_like();
+  using Opts = driver::CompilerOptions;
+  Opts opts;
+  if (config == "base") opts = Opts::openuh_base(run.compiler);
+  else if (config == "small") opts = Opts::openuh_small(run.compiler);
+  else if (config == "small_dim") opts = Opts::openuh_small_dim(run.compiler);
+  else if (config == "safara") opts = Opts::openuh_safara(run.compiler);
+  else if (config == "safara_clauses") opts = Opts::openuh_safara_clauses(run.compiler);
+  else if (config == "pgi") opts = Opts::pgi_like(run.compiler);
   else {
     std::fprintf(stderr, "safcc: unknown config '%s'\n", config.c_str());
     return 2;
@@ -661,9 +618,6 @@ int main(int argc, char** argv) {
     opts.unroll.factor = unroll;
   }
   if (max_regs > 0) opts.regalloc.max_registers = max_regs;
-  if (have_regalloc) opts.regalloc.strategy = regalloc_strategy;
-  if (have_spill_mem) opts.regalloc.spill_mem = spill_mem;
-  if (opt_level >= 0) opts.opt_level = opt_level;
   if (verify) opts.verify_clauses = true;
 
   // One collector for the whole invocation: compilation spans, metrics, and
@@ -692,10 +646,9 @@ int main(int argc, char** argv) {
       input_label = w->name;
       source_text = w->source;
       // Dedicated mode: run both dispatch engines and diff their results.
-      if (sim_compare) return run_sim_compare(*w, opts);
+      if (sim_compare) return run_sim_compare(*w, opts, run.sim);
       if (profiling || simulate) {
-        run_result = workloads::simulate(*w, opts, opts.device,
-                                         observing ? &collector : nullptr);
+        run_result = workloads::simulate(*w, opts, observing ? &collector : nullptr, run.sim);
         ran_workload = true;
       }
       driver::Compiler compiler(opts, ran_workload || !observing ? nullptr : &collector);

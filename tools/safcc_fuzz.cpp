@@ -10,6 +10,7 @@
 // Exit codes: 0 all oracles agreed; 1 divergences found; 2 usage error.
 // --json FILE writes the full report (including reduced reproducers) for CI
 // to archive.
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -34,10 +35,13 @@ void usage() {
                "opt-vs-noopt linear-vs-color spillmem-local-vs-shared\n");
 }
 
-long long parse_int_flag(const char* flag, const char* value) {
+/// Strict integer flag value in [0, max]: a negative or wrapped count must
+/// not quietly run fewer programs than asked for.
+long long parse_int_flag(const char* flag, const char* value, long long max) {
   const std::optional<long long> v = parse_int_strict(value);
-  if (!v) {
-    std::fprintf(stderr, "safcc-fuzz: %s expects an integer, got '%s'\n", flag, value);
+  if (!v || *v < 0 || *v > max) {
+    std::fprintf(stderr, "safcc-fuzz: %s expects an integer in [0, %lld], got '%s'\n", flag,
+                 max, value);
     std::exit(2);
   }
   return *v;
@@ -62,9 +66,9 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--seed") {
-      opts.seed = static_cast<std::uint64_t>(parse_int_flag("--seed", value()));
+      opts.seed = static_cast<std::uint64_t>(parse_int_flag("--seed", value(), LLONG_MAX));
     } else if (arg == "--count") {
-      opts.count = static_cast<int>(parse_int_flag("--count", value()));
+      opts.count = static_cast<int>(parse_int_flag("--count", value(), INT_MAX));
     } else if (arg == "--oracle") {
       const char* name = value();
       if (std::strcmp(name, "all") == 0) {
@@ -88,7 +92,7 @@ int main(int argc, char** argv) {
       json_out = value();
     } else if (arg == "--emit-seed") {
       emit_only = true;
-      emit_seed = static_cast<std::uint64_t>(parse_int_flag("--emit-seed", value()));
+      emit_seed = static_cast<std::uint64_t>(parse_int_flag("--emit-seed", value(), LLONG_MAX));
     } else if (arg == "--help" || arg == "-h") {
       usage();
       return 0;
