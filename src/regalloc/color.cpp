@@ -118,7 +118,7 @@ AllocationResult allocate_color(const Kernel& kernel, const AllocatorOptions& op
   };
   std::vector<std::uint64_t> running(words, 0);
   for (std::size_t b = 0; b < blocks.size(); ++b) {
-    running.assign(bl.live_out[b].begin(), bl.live_out[b].end());
+    running.assign(bl.out(b), bl.out(b) + words);
     for (std::int32_t i = blocks[b].end - 1; i >= blocks[b].begin; --i) {
       const Instr& in = kernel.code[static_cast<std::size_t>(i)];
       if (vir::has_dst(in.op) && in.dst != vir::kNoReg) {
@@ -141,13 +141,10 @@ AllocationResult allocate_color(const Kernel& kernel, const AllocatorOptions& op
   // a def_at check instead of a per-(vreg, position) predicate.
   // live_after(i) as a bitset pointer: the next instruction's live_before
   // inside a block, the block's live_out at its last instruction.
-  std::vector<std::uint64_t> after_buf(words, 0);
   auto after = [&](std::int32_t i) -> const std::uint64_t* {
     const std::int32_t b = block_of[static_cast<std::size_t>(i)];
     if (i + 1 < blocks[static_cast<std::size_t>(b)].end) return before(i + 1);
-    std::copy(bl.live_out[static_cast<std::size_t>(b)].begin(),
-              bl.live_out[static_cast<std::size_t>(b)].end(), after_buf.begin());
-    return after_buf.data();
+    return bl.out(static_cast<std::size_t>(b));
   };
 
   std::vector<std::uint64_t> pred_mask(words, 0);

@@ -22,6 +22,8 @@ std::atomic<std::uint64_t> g_arena_bytes_peak{0};
 std::atomic<std::uint64_t> g_arena_resets{0};
 std::atomic<std::uint64_t> g_heap_fallbacks{0};
 
+thread_local Arena* t_current_arena = nullptr;  // ArenaScope's target
+
 void fold_peak(std::uint64_t peak) {
   std::uint64_t seen = g_arena_bytes_peak.load(std::memory_order_relaxed);
   while (peak > seen &&
@@ -127,7 +129,11 @@ void Arena::reset() {
   publish_global();
 }
 
-thread_local Arena* ArenaScope::tls_ = nullptr;
+ArenaScope::ArenaScope(Arena& arena) : prev_(t_current_arena) { t_current_arena = &arena; }
+
+ArenaScope::~ArenaScope() { t_current_arena = prev_; }
+
+Arena* ArenaScope::current() { return t_current_arena; }
 
 namespace {
 

@@ -104,18 +104,22 @@ class Arena {
 /// ArenaAllocated types (AST nodes) for the scope's lifetime; restores the
 /// previous target on destruction, so scopes nest (e.g. a per-candidate
 /// arena inside a per-compile arena).
+///
+/// The thread's target lives in a file-local thread_local in arena.cpp, so
+/// the three members below are defined there: an inline access to a
+/// `static thread_local` member goes through GCC's TLS wrapper, which
+/// `-fsanitize=undefined` reports as a store through a null pointer.
 class ArenaScope {
  public:
-  explicit ArenaScope(Arena& arena) : prev_(tls_) { tls_ = &arena; }
-  ~ArenaScope() { tls_ = prev_; }
+  explicit ArenaScope(Arena& arena);
+  ~ArenaScope();
   ArenaScope(const ArenaScope&) = delete;
   ArenaScope& operator=(const ArenaScope&) = delete;
 
-  static Arena* current() { return tls_; }
+  static Arena* current();
 
  private:
   Arena* prev_;
-  static thread_local Arena* tls_;
 };
 
 /// Mixin base giving a class hierarchy tagged class-level new/delete: with

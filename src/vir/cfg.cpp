@@ -1,7 +1,6 @@
 #include "vir/cfg.hpp"
 
 #include <algorithm>
-#include <deque>
 
 namespace safara::vir {
 
@@ -82,11 +81,11 @@ Cfg build_dominator_cfg(const Kernel& k) {
 
   cfg.reachable.assign(nb, 0);
   if (nb > 0) {
-    std::deque<std::int32_t> work{0};
+    std::vector<std::int32_t> work{0};
     cfg.reachable[0] = 1;
     while (!work.empty()) {
-      const std::int32_t b = work.front();
-      work.pop_front();
+      const std::int32_t b = work.back();
+      work.pop_back();
       for (std::int32_t s : cfg.blocks[static_cast<std::size_t>(b)].succs) {
         if (!cfg.reachable[static_cast<std::size_t>(s)]) {
           cfg.reachable[static_cast<std::size_t>(s)] = 1;
@@ -96,19 +95,18 @@ Cfg build_dominator_cfg(const Kernel& k) {
     }
   }
 
-  // Iterative dominator sets over block bitsets (the CFGs are tiny).
+  // Iterative dominator sets over block bitsets (the CFGs are tiny), one
+  // `words`-long row per block in a single array.
   cfg.idom.assign(nb, -1);
   cfg.dom_children.assign(nb, {});
   cfg.dom_frontier.assign(nb, {});
   if (nb == 0) return cfg;
 
   const std::size_t words = (nb + 63) / 64;
-  auto bit_get = [&](const std::vector<std::uint64_t>& bs, std::size_t i) {
-    return (bs[i / 64] >> (i % 64)) & 1;
-  };
-  std::vector<std::vector<std::uint64_t>> dom(nb, std::vector<std::uint64_t>(words, ~0ull));
-  dom[0].assign(words, 0);
-  dom[0][0] = 1;
+  std::vector<std::uint64_t> dom(nb * words, ~0ull);
+  auto dom_of = [&](std::size_t b) { return dom.data() + b * words; };
+  std::fill(dom_of(0), dom_of(0) + words, 0);
+  dom[0] = 1;
   std::vector<std::uint64_t> next(words);
   bool changed = true;
   while (changed) {
@@ -120,39 +118,33 @@ Cfg build_dominator_cfg(const Kernel& k) {
       for (std::int32_t p : cfg.preds[b]) {
         if (!cfg.reachable[static_cast<std::size_t>(p)]) continue;
         any_pred = true;
-        for (std::size_t w = 0; w < words; ++w) next[w] &= dom[static_cast<std::size_t>(p)][w];
+        const std::uint64_t* dp = dom_of(static_cast<std::size_t>(p));
+        for (std::size_t w = 0; w < words; ++w) next[w] &= dp[w];
       }
       if (!any_pred) std::fill(next.begin(), next.end(), 0);
       next[b / 64] |= std::uint64_t{1} << (b % 64);
-      if (next != dom[b]) {
-        dom[b].assign(next.begin(), next.end());
+      if (!std::equal(next.begin(), next.end(), dom_of(b))) {
+        std::copy(next.begin(), next.end(), dom_of(b));
         changed = true;
       }
     }
   }
 
-  auto popcount = [&](const std::vector<std::uint64_t>& bs) {
-    int c = 0;
-    for (std::uint64_t w : bs) {
-      while (w) {
-        w &= w - 1;
-        ++c;
-      }
-    }
-    return c;
-  };
   // Dominator-set sizes, computed once: the idom scan below reads them
   // O(nb^2) times and the sets are frozen at this point.
   std::vector<int> dom_size(nb, 0);
-  for (std::size_t d = 0; d < nb; ++d) dom_size[d] = popcount(dom[d]);
+  for (std::size_t d = 0; d < nb; ++d) {
+    for (std::size_t w = 0; w < words; ++w) dom_size[d] += __builtin_popcountll(dom_of(d)[w]);
+  }
 
   // idom(b) is the strict dominator with the largest dominator set.
   for (std::size_t b = 1; b < nb; ++b) {
     if (!cfg.reachable[b]) continue;
     std::int32_t idom = -1;
     int best = -1;
+    const std::uint64_t* db = dom_of(b);
     for (std::size_t d = 0; d < nb; ++d) {
-      if (d == b || !bit_get(dom[b], d)) continue;
+      if (d == b || !((db[d / 64] >> (d % 64)) & 1)) continue;
       const int size = dom_size[d];
       if (size > best) {
         best = size;
@@ -192,51 +184,46 @@ Cfg build_dominator_cfg(const Kernel& k) {
 
 BlockLiveness compute_block_liveness(const Kernel& k,
                                      const std::vector<BasicBlock>& blocks) {
-  const std::uint32_t nregs = k.num_vregs();
   const std::size_t nblocks = blocks.size();
   BlockLiveness lv;
-  lv.words = (nregs + 63) / 64;
+  lv.words = (k.num_vregs() + 63) / 64;
   const std::size_t words = lv.words;
+  lv.live_in.assign(nblocks * words, 0);
+  lv.live_out.assign(nblocks * words, 0);
 
-  auto bit_get = [&](const std::vector<std::uint64_t>& bs, std::uint32_t r) {
-    return (bs[r / 64] >> (r % 64)) & 1;
-  };
-  auto bit_set = [&](std::vector<std::uint64_t>& bs, std::uint32_t r) {
-    bs[r / 64] |= std::uint64_t{1} << (r % 64);
-  };
-
-  std::vector<std::vector<std::uint64_t>> use(nblocks), def(nblocks);
-  lv.live_in.assign(nblocks, std::vector<std::uint64_t>(words, 0));
-  lv.live_out.assign(nblocks, std::vector<std::uint64_t>(words, 0));
+  // Per-block upward-exposed uses and defs, in the same layout.
+  std::vector<std::uint64_t> use(nblocks * words, 0), def(nblocks * words, 0);
   for (std::size_t b = 0; b < nblocks; ++b) {
-    use[b].assign(words, 0);
-    def[b].assign(words, 0);
+    std::uint64_t* ub = use.data() + b * words;
+    std::uint64_t* db = def.data() + b * words;
     for (std::int32_t i = blocks[b].begin; i < blocks[b].end; ++i) {
       const Instr& in = k.code[i];
       for_each_use(in, [&](std::uint32_t r) {
-        if (!bit_get(def[b], r)) bit_set(use[b], r);
+        if (!((db[r / 64] >> (r % 64)) & 1)) ub[r / 64] |= std::uint64_t{1} << (r % 64);
       });
-      if (has_dst(in.op) && in.dst != kNoReg) bit_set(def[b], in.dst);
+      if (has_dst(in.op) && in.dst != kNoReg) db[in.dst / 64] |= std::uint64_t{1} << (in.dst % 64);
     }
   }
 
-  std::vector<std::uint64_t> out(words), in_set(words);
+  // Iterate to the fixpoint; sweeping blocks in reverse converges fast on
+  // the reducible CFGs codegen emits.
   bool changed = true;
   while (changed) {
     changed = false;
     for (std::size_t bi = nblocks; bi-- > 0;) {
-      std::fill(out.begin(), out.end(), 0);
-      for (std::int32_t s : blocks[bi].succs) {
-        const std::vector<std::uint64_t>& sin = lv.live_in[static_cast<std::size_t>(s)];
-        for (std::size_t w = 0; w < words; ++w) out[w] |= sin[w];
-      }
+      std::uint64_t* in = lv.live_in.data() + bi * words;
+      std::uint64_t* out = lv.live_out.data() + bi * words;
       for (std::size_t w = 0; w < words; ++w) {
-        in_set[w] = use[bi][w] | (out[w] & ~def[bi][w]);
-      }
-      if (in_set != lv.live_in[bi] || out != lv.live_out[bi]) {
-        changed = true;
-        lv.live_in[bi].assign(in_set.begin(), in_set.end());
-        lv.live_out[bi].assign(out.begin(), out.end());
+        std::uint64_t o = 0;
+        for (std::int32_t s : blocks[bi].succs) {
+          o |= lv.live_in[static_cast<std::size_t>(s) * words + w];
+        }
+        const std::uint64_t i = use[bi * words + w] | (o & ~def[bi * words + w]);
+        if (o != out[w] || i != in[w]) {
+          out[w] = o;
+          in[w] = i;
+          changed = true;
+        }
       }
     }
   }

@@ -38,19 +38,23 @@ struct Cfg {
 /// dominance frontiers.
 Cfg build_dominator_cfg(const Kernel& k);
 
-/// Per-block liveness bitsets over an arbitrary block partition; the backward
-/// dataflow underlying compute_live_intervals, exposed so SSA pruning and the
-/// coloring allocator can share it.
+/// Per-block liveness bitsets over an arbitrary block partition: the one
+/// backward dataflow in the compiler, behind compute_live_intervals,
+/// max_live_pressure, SSA pruning, copy coalescing and the coloring
+/// allocator. Each array holds one `words`-long bitset per block, block b's
+/// at [b * words, (b + 1) * words).
 struct BlockLiveness {
   std::size_t words = 0;  // 64-bit words per bitset
-  std::vector<std::vector<std::uint64_t>> live_in;
-  std::vector<std::vector<std::uint64_t>> live_out;
+  std::vector<std::uint64_t> live_in;
+  std::vector<std::uint64_t> live_out;
 
+  const std::uint64_t* in(std::size_t block) const { return live_in.data() + block * words; }
+  const std::uint64_t* out(std::size_t block) const { return live_out.data() + block * words; }
   bool live_in_at(std::size_t block, std::uint32_t vreg) const {
-    return (live_in[block][vreg / 64] >> (vreg % 64)) & 1;
+    return (in(block)[vreg / 64] >> (vreg % 64)) & 1;
   }
   bool live_out_at(std::size_t block, std::uint32_t vreg) const {
-    return (live_out[block][vreg / 64] >> (vreg % 64)) & 1;
+    return (out(block)[vreg / 64] >> (vreg % 64)) & 1;
   }
 };
 

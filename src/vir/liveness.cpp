@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "vir/cfg.hpp"
+
 namespace safara::vir {
 
 std::vector<BasicBlock> build_cfg(const Kernel& k) {
@@ -68,69 +70,21 @@ std::vector<BasicBlock> build_cfg(const Kernel& k) {
   return blocks;
 }
 
-std::vector<LiveInterval> compute_live_intervals(const Kernel& k) {
+LiveExtents compute_live_extents(const Kernel& k) {
   const std::uint32_t nregs = k.num_vregs();
-  std::vector<BasicBlock> blocks = build_cfg(k);
-  const std::size_t nblocks = blocks.size();
+  const std::vector<BasicBlock> blocks = build_cfg(k);
+  const BlockLiveness lv = compute_block_liveness(k, blocks);
 
-  // Per-block use (upward-exposed) and def sets, as bitsets.
-  const std::size_t words = (nregs + 63) / 64;
-  auto bit_get = [&](const std::vector<std::uint64_t>& bs, std::uint32_t r) {
-    return (bs[r / 64] >> (r % 64)) & 1;
-  };
-  auto bit_set = [&](std::vector<std::uint64_t>& bs, std::uint32_t r) {
-    bs[r / 64] |= std::uint64_t{1} << (r % 64);
-  };
-
-  std::vector<std::vector<std::uint64_t>> use(nblocks), def(nblocks),
-      live_in(nblocks), live_out(nblocks);
-  for (std::size_t b = 0; b < nblocks; ++b) {
-    use[b].assign(words, 0);
-    def[b].assign(words, 0);
-    live_in[b].assign(words, 0);
-    live_out[b].assign(words, 0);
-    for (std::int32_t i = blocks[b].begin; i < blocks[b].end; ++i) {
-      const Instr& in = k.code[i];
-      for_each_use(in, [&](std::uint32_t r) {
-        if (!bit_get(def[b], r)) bit_set(use[b], r);
-      });
-      if (has_dst(in.op) && in.dst != kNoReg) bit_set(def[b], in.dst);
-    }
-  }
-
-  // Iterate to fixpoint (reverse order converges fast on reducible CFGs).
-  // The out/in scratch sets live outside the loop: the fixpoint typically
-  // runs several sweeps and there is no reason to reallocate per block.
-  std::vector<std::uint64_t> out(words), in_set(words);
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (std::size_t bi = nblocks; bi-- > 0;) {
-      std::fill(out.begin(), out.end(), 0);
-      for (std::int32_t s : blocks[bi].succs) {
-        const std::vector<std::uint64_t>& sin = live_in[static_cast<std::size_t>(s)];
-        for (std::size_t w = 0; w < words; ++w) out[w] |= sin[w];
-      }
-      for (std::size_t w = 0; w < words; ++w) {
-        in_set[w] = use[bi][w] | (out[w] & ~def[bi][w]);
-      }
-      if (in_set != live_in[bi] || out != live_out[bi]) {
-        changed = true;
-        live_in[bi].assign(in_set.begin(), in_set.end());
-        live_out[bi].assign(out.begin(), out.end());
-      }
-    }
-  }
-
-  // Hole-free intervals.
   constexpr std::int32_t kUnset = -1;
-  std::vector<std::int32_t> start(nregs, kUnset), end(nregs, kUnset);
+  LiveExtents x;
+  x.start.assign(nregs, kUnset);
+  x.end.assign(nregs, kUnset);
   auto extend = [&](std::uint32_t r, std::int32_t pos) {
-    if (start[r] == kUnset || pos < start[r]) start[r] = pos;
-    if (end[r] == kUnset || pos > end[r]) end[r] = pos;
+    if (x.start[r] == kUnset || pos < x.start[r]) x.start[r] = pos;
+    if (x.end[r] == kUnset || pos > x.end[r]) x.end[r] = pos;
   };
-  auto extend_bits = [&](const std::vector<std::uint64_t>& bs, std::int32_t pos) {
-    for (std::size_t w = 0; w < words; ++w) {
+  auto extend_bits = [&](const std::uint64_t* bs, std::int32_t pos) {
+    for (std::size_t w = 0; w < lv.words; ++w) {
       std::uint64_t bits = bs[w];
       while (bits) {
         const std::uint32_t r = static_cast<std::uint32_t>(
@@ -140,19 +94,23 @@ std::vector<LiveInterval> compute_live_intervals(const Kernel& k) {
       }
     }
   };
-  for (std::size_t b = 0; b < nblocks; ++b) {
-    extend_bits(live_in[b], blocks[b].begin);
-    extend_bits(live_out[b], blocks[b].end - 1);
+  for (std::size_t b = 0; b < blocks.size(); ++b) {
+    extend_bits(lv.in(b), blocks[b].begin);
+    extend_bits(lv.out(b), blocks[b].end - 1);
     for (std::int32_t i = blocks[b].begin; i < blocks[b].end; ++i) {
       const Instr& in = k.code[i];
       for_each_use(in, [&](std::uint32_t r) { extend(r, i); });
       if (has_dst(in.op) && in.dst != kNoReg) extend(in.dst, i);
     }
   }
+  return x;
+}
 
+std::vector<LiveInterval> compute_live_intervals(const Kernel& k) {
+  const LiveExtents x = compute_live_extents(k);
   std::vector<LiveInterval> intervals;
-  for (std::uint32_t r = 0; r < nregs; ++r) {
-    if (start[r] != kUnset) intervals.push_back({r, start[r], end[r]});
+  for (std::uint32_t r = 0; r < k.num_vregs(); ++r) {
+    if (x.start[r] >= 0) intervals.push_back({r, x.start[r], x.end[r]});
   }
   std::sort(intervals.begin(), intervals.end(),
             [](const LiveInterval& a, const LiveInterval& b) {

@@ -26,8 +26,17 @@ struct LiveInterval {
   std::int32_t end = 0;
 };
 
-/// Classic backward-dataflow liveness, then one hole-free interval per vreg
-/// (registers live across a backedge span the whole loop). Never-used vregs
+/// Hole-free live extent of every vreg over build_cfg's blocks, from
+/// compute_block_liveness (registers live across a backedge span the whole
+/// loop): vreg r is occupied on [start[r], end[r]], and start[r] == -1 when
+/// it is never used or defined.
+struct LiveExtents {
+  std::vector<std::int32_t> start;
+  std::vector<std::int32_t> end;
+};
+LiveExtents compute_live_extents(const Kernel& k);
+
+/// One interval per vreg with an extent, ordered by start. Never-used vregs
 /// get no interval.
 std::vector<LiveInterval> compute_live_intervals(const Kernel& k);
 

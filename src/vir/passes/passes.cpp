@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <cstring>
-#include <map>
+#include <numeric>
 #include <tuple>
+#include <unordered_map>
 #include <vector>
 
 #include "vir/cfg.hpp"
@@ -72,13 +73,14 @@ int remove_dead(Kernel& k, const std::vector<char>& dead) {
 
 int max_live_pressure(const Kernel& k) {
   if (k.code.empty()) return 0;
-  const std::vector<LiveInterval> intervals = compute_live_intervals(k);
-  std::vector<int> delta(k.code.size() + 2, 0);
-  for (const LiveInterval& iv : intervals) {
-    const int w = registers_of(k.vreg_types[iv.vreg]);
-    if (w == 0) continue;  // predicates live in their own file
-    delta[static_cast<std::size_t>(iv.start)] += w;
-    delta[static_cast<std::size_t>(iv.end) + 1] -= w;
+  const LiveExtents x = compute_live_extents(k);
+  std::vector<int> delta(k.code.size() + 1, 0);
+  for (std::uint32_t r = 0; r < k.num_vregs(); ++r) {
+    const int w = registers_of(k.vreg_types[r]);
+    // Predicates (w == 0) live in their own file; start < 0 is never live.
+    if (w == 0 || x.start[r] < 0) continue;
+    delta[static_cast<std::size_t>(x.start[r])] += w;
+    delta[static_cast<std::size_t>(x.end[r]) + 1] -= w;
   }
   int cur = 0, peak = 0;
   for (int d : delta) {
@@ -122,8 +124,20 @@ using GvnKey = std::tuple<std::uint8_t, std::uint8_t, std::uint8_t, std::uint32_
                           std::uint32_t, std::uint32_t, std::int64_t, std::uint64_t,
                           std::uint8_t>;
 
-GvnKey make_gvn_key(const Instr& in, const Kernel& k) {
-  std::uint32_t a = in.a, b = in.b;
+struct GvnKeyHash {
+  std::size_t operator()(const GvnKey& key) const {
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    std::apply([&h](auto... field) {
+      ((h = (h ^ static_cast<std::uint64_t>(field)) * 0x100000001b3ull), ...);
+    }, key);
+    return static_cast<std::size_t>(h ^ (h >> 32));
+  }
+};
+
+/// `rename` maps each vreg to the value that replaces it (itself if none).
+GvnKey make_gvn_key(const Instr& in, const Kernel& k, const std::vector<std::uint32_t>& rename) {
+  auto operand = [&](std::uint32_t r) { return r == kNoReg ? r : rename[r]; };
+  std::uint32_t a = operand(in.a), b = operand(in.b);
   // Normalize commutative operations where swapping is bit-exact: integer
   // arithmetic/compares and predicate logic. Float add/mul/min/max are
   // excluded (NaN propagation is order-sensitive).
@@ -138,7 +152,7 @@ GvnKey make_gvn_key(const Instr& in, const Kernel& k) {
   static_assert(sizeof fbits == sizeof in.fimm);
   std::memcpy(&fbits, &in.fimm, sizeof fbits);
   return {static_cast<std::uint8_t>(in.op), static_cast<std::uint8_t>(in.type),
-          static_cast<std::uint8_t>(k.vreg_types[in.dst]), a, b, in.c, in.imm,
+          static_cast<std::uint8_t>(k.vreg_types[in.dst]), a, b, operand(in.c), in.imm,
           fbits, in.flags};
 }
 
@@ -146,28 +160,29 @@ GvnKey make_gvn_key(const Instr& in, const Kernel& k) {
 
 int run_gvn(Kernel& k) {
   if (k.code.empty()) return 0;
-  const Kernel snapshot = k;
-  const int pressure_before = max_live_pressure(k);
   const std::vector<int> defs = def_counts(k);
   const Cfg cfg = build_dominator_cfg(k);
 
+  // A hit redirects its dst's uses to the dominating value. The kernel is
+  // left untouched during the walk: operands are read through `rename`,
+  // which is applied once at the end. A replacement value was numbered
+  // before the hit and is never replaced itself, so one lookup suffices.
+  std::vector<std::uint32_t> rename(k.num_vregs());
+  std::iota(rename.begin(), rename.end(), 0u);
   int hits = 0;
   std::vector<char> dead(k.code.size(), 0);
-  // DFS over the dominator tree; each block inherits (a copy of) the value
-  // table of its immediate dominator, so a hit always has a dominating def.
-  struct Frame {
-    std::int32_t block;
-    std::map<GvnKey, std::uint32_t> table;
-  };
-  std::vector<Frame> stack;
-  stack.push_back({0, {}});
-  while (!stack.empty()) {
-    Frame frame = std::move(stack.back());
-    stack.pop_back();
-    const BasicBlock& bb = cfg.blocks[static_cast<std::size_t>(frame.block)];
+
+  // One value table scoped to the dominator tree: a block sees exactly the
+  // values of its dominators, so a hit always has a dominating def. The
+  // walk is a preorder DFS visiting children last-first; each block's
+  // entries are erased when its subtree is done.
+  std::unordered_map<GvnKey, std::uint32_t, GvnKeyHash> table;
+  table.reserve(k.code.size());
+  std::vector<GvnKey> scope;  // keys inserted along the current path
+  auto number_block = [&](std::int32_t block) {
+    const BasicBlock& bb = cfg.blocks[static_cast<std::size_t>(block)];
     for (std::int32_t i = bb.begin; i < bb.end; ++i) {
-      Instr& in = k.code[i];
-      if (dead[static_cast<std::size_t>(i)]) continue;
+      const Instr& in = k.code[i];
       // Phis are pure but their value depends on the edge taken, not on
       // their operand tuple — never number them.
       if (in.op == Opcode::kPhi) continue;
@@ -178,36 +193,54 @@ int run_gvn(Kernel& k) {
         if (defs[r] != 1) stable = false;
       });
       if (!stable) continue;
-      const GvnKey key = make_gvn_key(in, k);
-      auto it = frame.table.find(key);
-      if (it != frame.table.end()) {
-        rewrite_uses(k, in.dst, it->second);
+      GvnKey key = make_gvn_key(in, k, rename);
+      const auto [it, inserted] = table.try_emplace(key, in.dst);
+      if (inserted) {
+        scope.push_back(std::move(key));
+      } else {
+        rename[in.dst] = it->second;
         dead[static_cast<std::size_t>(i)] = 1;
         ++hits;
-      } else {
-        frame.table.emplace(key, in.dst);
       }
     }
-    // Each child inherits the parent's table; the frame is discarded after
-    // this loop, so the last child can take it by move instead of by copy.
-    const auto& children = cfg.dom_children[static_cast<std::size_t>(frame.block)];
-    for (std::size_t ci = 0; ci < children.size(); ++ci) {
-      if (ci + 1 == children.size()) {
-        stack.push_back({children[ci], std::move(frame.table)});
-      } else {
-        stack.push_back({children[ci], frame.table});
-      }
+  };
+  struct Visit {
+    std::int32_t block;
+    std::size_t children_left;
+    std::size_t scope_mark;  // scope.size() before this block's entries
+  };
+  std::vector<Visit> path{{0, cfg.dom_children[0].size(), 0}};
+  number_block(0);
+  while (!path.empty()) {
+    Visit& v = path.back();
+    if (v.children_left == 0) {
+      for (std::size_t j = v.scope_mark; j < scope.size(); ++j) table.erase(scope[j]);
+      scope.resize(v.scope_mark);
+      path.pop_back();
+      continue;
     }
+    const std::int32_t child = cfg.dom_children[static_cast<std::size_t>(v.block)][--v.children_left];
+    path.push_back({child, cfg.dom_children[static_cast<std::size_t>(child)].size(), scope.size()});
+    number_block(child);
   }
 
   if (hits == 0) return 0;
+  const int pressure_before = max_live_pressure(k);
+  std::vector<Instr> code = k.code;
+  std::vector<std::int32_t> labels = k.labels;
+  for (Instr& in : k.code) {
+    if (in.a != kNoReg) in.a = rename[in.a];
+    if (in.b != kNoReg) in.b = rename[in.b];
+    if (in.c != kNoReg) in.c = rename[in.c];
+  }
   remove_dead(k, dead);
   // Merging computations can lengthen the surviving value's live range (an
   // immediate re-materialized per block is cheaper than one register pinned
   // across the loop). The pipeline's contract is pressure-monotone, so any
   // net loss reverts the whole pass.
   if (max_live_pressure(k) > pressure_before) {
-    k = snapshot;
+    k.code = std::move(code);
+    k.labels = std::move(labels);
     return 0;
   }
   return hits;
@@ -347,11 +380,12 @@ int run_strength_reduction(Kernel& k) {
 
 int run_pressure_scheduling(Kernel& k) {
   if (k.code.empty()) return 0;
-  const Kernel snapshot = k;
-  const int pressure_before = max_live_pressure(k);
   const std::vector<int> defs = def_counts(k);
   const std::vector<BasicBlock> blocks = build_dominator_cfg(k).blocks;
 
+  // The pass only reorders k.code, so the code before the first move is all
+  // a revert needs.
+  std::vector<Instr> original;
   int moves = 0;
   for (const BasicBlock& bb : blocks) {
     // Bottom-up so a sunk producer's consumer has already reached its final
@@ -375,6 +409,7 @@ int run_pressure_scheduling(Kernel& k) {
         });
       }
       if (first_use <= i + 1) continue;  // already adjacent, or no in-block use
+      if (moves == 0) original = k.code;
       std::rotate(k.code.begin() + i, k.code.begin() + i + 1,
                   k.code.begin() + first_use);
       ++moves;
@@ -385,10 +420,10 @@ int run_pressure_scheduling(Kernel& k) {
   // Strict gate: adjacency between a producer and its consumer costs issue
   // stalls in the scoreboarded SM model, so reordering is only worth keeping
   // when it actually lowers the peak — pressure-neutral shuffles revert.
-  if (max_live_pressure(k) >= pressure_before) {
-    k = snapshot;
-    return 0;
-  }
+  const int pressure_after = max_live_pressure(k);
+  std::swap(k.code, original);  // measure, and by default keep, the original
+  if (pressure_after >= max_live_pressure(k)) return 0;
+  k.code = std::move(original);
   return moves;
 }
 
@@ -404,11 +439,11 @@ PassStats run_pipeline(Kernel& k, int opt_level) {
   // loop stops. The strict-shrink rule bounds the loop by the kernel size
   // and makes the pipeline a fixpoint: re-running it repeats the final
   // (reverted) iteration deterministically and reverts it again, so the
-  // second run is byte-identical and reports zero work.
+  // second run is byte-identical and reports zero work. `s.pressure_after`
+  // is always the pressure of the kernel as it stands between iterations.
   bool first_round = true;
   while (true) {
     const Kernel snapshot = k;
-    const int pressure_in = max_live_pressure(k);
     const ssa::ConstructStats cs = ssa::construct(k);
     if (first_round) s.phi_count = cs.phis;
 
@@ -432,11 +467,13 @@ PassStats run_pipeline(Kernel& k, int opt_level) {
     }
     ssa::DestructStats ds;
     if (cs.converted) ds = ssa::destruct(k);
-    if (!ds.ok || k.code.size() >= snapshot.code.size() ||
-        max_live_pressure(k) > pressure_in) {
+    const bool shrank = ds.ok && k.code.size() < snapshot.code.size();
+    const int pressure_out = shrank ? max_live_pressure(k) : 0;
+    if (!shrank || pressure_out > s.pressure_after) {
       k = snapshot;
       break;
     }
+    s.pressure_after = pressure_out;
     s.copyprop_removed += it.copyprop_removed;
     s.gvn_hits += it.gvn_hits;
     s.dce_removed += it.dce_removed;
@@ -446,7 +483,6 @@ PassStats run_pipeline(Kernel& k, int opt_level) {
     s.phi_copies_coalesced += ds.coalesced;
     first_round = false;
   }
-  s.pressure_after = max_live_pressure(k);
   return s;
 }
 

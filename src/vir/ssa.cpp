@@ -98,7 +98,7 @@ int coalesce_copies(Kernel& k, const std::vector<char>& candidate) {
   const BlockLiveness lv = compute_block_liveness(k, cfg.blocks);
   std::vector<std::uint64_t> cur(words);
   for (std::size_t b = 0; b < cfg.blocks.size(); ++b) {
-    cur = lv.live_out[b];
+    cur.assign(lv.out(b), lv.out(b) + words);
     for (std::int32_t i = cfg.blocks[b].end - 1; i >= cfg.blocks[b].begin; --i) {
       const Instr& in = k.code[static_cast<std::size_t>(i)];
       if (has_dst(in.op) && in.dst != kNoReg) {

@@ -1,17 +1,21 @@
 // Golden-IR snapshot tests: compile every tests/golden/MANIFEST entry
 // in-process and require driver::dump_vir() to match the checked-in .vir
-// file byte-for-byte. A mismatch means codegen or the VIR pass pipeline
-// changed shape — review the diff, then re-bless with
+// file byte-for-byte, and every fuzz_vir.digest line to match the hash of
+// the generated program's dump. A mismatch means codegen or the VIR pass
+// pipeline changed shape — review the diff, then re-bless with
 // `python3 tools/update_golden.py --bless`.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cinttypes>
+#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "driver/compiler.hpp"
+#include "fuzz/generator.hpp"
 
 #ifndef SAFARA_GOLDEN_DIR
 #error "SAFARA_GOLDEN_DIR must point at tests/golden"
@@ -142,6 +146,46 @@ TEST(GoldenVir, OptimizedDumpsAreNoLonger) {
               std::count(o0.begin(), o0.end(), '\n'))
         << e.kernel << "." << e.config << ": O2 dump grew past the O0 dump";
   }
+}
+
+std::string fnv1a_hex(const std::string& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (unsigned char c : bytes) {
+    h ^= c;
+    h *= 0x100000001b3ull;
+  }
+  char buf[17];
+  std::snprintf(buf, sizeof buf, "%016" PRIx64, h);
+  return buf;
+}
+
+// The fuzz corpus's optimized VIR, pinned by hash: tools/update_golden.py
+// writes one `<seed> <config> <fnv1a64>` line per pair from safcc's
+// --dump-vir, and this recomputes each hash through driver::dump_vir().
+TEST(GoldenVir, FuzzDigestsMatch) {
+  bool ok = false;
+  const std::string text = read_file(std::string(SAFARA_GOLDEN_DIR) + "/fuzz_vir.digest", &ok);
+  ASSERT_TRUE(ok) << "missing fuzz_vir.digest (run tools/update_golden.py --bless)";
+  std::istringstream lines(text);
+  std::string line;
+  int checked = 0;
+  while (std::getline(lines, line)) {
+    if (line.empty() || line[0] == '#') continue;
+    std::istringstream fields(line);
+    std::uint64_t seed = 0;
+    std::string config, expected;
+    ASSERT_TRUE(static_cast<bool>(fields >> seed >> config >> expected)) << line;
+    SCOPED_TRACE("seed " + std::to_string(seed) + " " + config);
+    bool known = false;
+    const driver::CompilerOptions opts = options_for(config, &known);
+    ASSERT_TRUE(known) << "unknown config '" << config << "' in fuzz_vir.digest";
+    driver::CompiledProgram prog;
+    ASSERT_NO_THROW(prog = driver::Compiler(opts).compile(fuzz::generate_program(seed)));
+    EXPECT_EQ(fnv1a_hex(driver::dump_vir(prog)), expected)
+        << "if intentional: python3 tools/update_golden.py --bless";
+    ++checked;
+  }
+  EXPECT_EQ(checked, 200);
 }
 
 }  // namespace

@@ -5,12 +5,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string_view>
 
 #include "ast/printer.hpp"
+#include "fuzz/generator.hpp"
 #include "opt/carr_kennedy.hpp"
 #include "opt/safara.hpp"
 #include "opt/scalar_replacement.hpp"
 #include "tests_common.hpp"
+#include "vir/liveness.hpp"
 #include "vir/passes/passes.hpp"
 #include "workloads/workloads.hpp"
 
@@ -309,17 +312,45 @@ TEST(CarrKennedy, SafaraDoesNotSequentialize) {
 // Property tests over every workload in the suite: the raw (--opt-level 0)
 // kernels are the richest VIR corpus in the repo, so the structural
 // invariants below run against all of them rather than hand-built inputs.
+// The pipeline properties also run on generated fuzz programs, whose
+// feature mix reaches shapes the 16 fixed kernels do not.
 
-/// Raw VIR kernels for one workload: compiled at opt-level 0 so the
-/// pipeline under test sees exactly what codegen produced.
-std::vector<vir::Kernel> raw_kernels(const workloads::Workload& w) {
+/// Raw VIR kernels for one program: compiled at opt-level 0 so the pipeline
+/// under test sees exactly what codegen produced.
+std::vector<vir::Kernel> raw_kernels(std::string_view source, const std::string& function) {
   driver::CompilerOptions opts = driver::CompilerOptions::openuh_base();
   opts.opt_level = 0;
   driver::Compiler compiler(opts);
-  driver::CompiledProgram prog = compiler.compile(w.source, w.function);
+  driver::CompiledProgram prog = compiler.compile(source, function);
   std::vector<vir::Kernel> out;
   for (auto& k : prog.kernels) out.push_back(std::move(k.kernel));
   return out;
+}
+
+std::vector<vir::Kernel> raw_kernels(const workloads::Workload& w) {
+  return raw_kernels(w.source, w.function);
+}
+
+struct CorpusKernel {
+  std::string label;  // "<workload or fuzz seed>/<kernel>"
+  vir::Kernel kernel;
+};
+
+/// The raw kernels of every workload and of fuzz seeds 1-40.
+const std::vector<CorpusKernel>& pass_corpus() {
+  static const std::vector<CorpusKernel> corpus = [] {
+    std::vector<CorpusKernel> out;
+    for (const workloads::Workload& w : workloads::all_workloads()) {
+      for (vir::Kernel& k : raw_kernels(w)) out.push_back({w.name + "/" + k.name, std::move(k)});
+    }
+    for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+      for (vir::Kernel& k : raw_kernels(fuzz::generate_program(seed), "")) {
+        out.push_back({"fuzz seed " + std::to_string(seed) + "/" + k.name, std::move(k)});
+      }
+    }
+    return out;
+  }();
+  return corpus;
 }
 
 template <typename Pred>
@@ -340,34 +371,29 @@ TEST(VirPasses, EveryPassIsIdempotent) {
       {"strength-reduction", vir::passes::run_strength_reduction},
       {"scheduling", vir::passes::run_pressure_scheduling},
   };
-  for (const workloads::Workload& w : workloads::all_workloads()) {
-    for (vir::Kernel k : raw_kernels(w)) {
-      for (const auto& [name, run] : passes) {
-        vir::Kernel copy = k;
-        run(copy);
-        const std::string once = vir::to_string(copy);
-        const int second = run(copy);
-        EXPECT_EQ(second, 0) << w.name << "/" << k.name << ": " << name
-                             << " found work on its own output";
-        EXPECT_EQ(vir::to_string(copy), once)
-            << w.name << "/" << k.name << ": " << name << " is not idempotent";
-      }
+  for (const auto& [label, k] : pass_corpus()) {
+    for (const auto& [name, run] : passes) {
+      vir::Kernel copy = k;
+      run(copy);
+      const std::string once = vir::to_string(copy);
+      const int second = run(copy);
+      EXPECT_EQ(second, 0) << label << ": " << name << " found work on its own output";
+      EXPECT_EQ(vir::to_string(copy), once) << label << ": " << name << " is not idempotent";
     }
   }
 }
 
 TEST(VirPasses, PipelineIsAFixpoint) {
-  for (const workloads::Workload& w : workloads::all_workloads()) {
-    for (vir::Kernel k : raw_kernels(w)) {
-      vir::passes::run_pipeline(k, 2);
-      const std::string once = vir::to_string(k);
-      vir::passes::PassStats again = vir::passes::run_pipeline(k, 2);
-      EXPECT_EQ(again.copyprop_removed + again.gvn_hits + again.dce_removed +
-                    again.strength_reduced + again.sched_moves,
-                0)
-          << w.name << "/" << k.name << ": second pipeline run found work";
-      EXPECT_EQ(vir::to_string(k), once) << w.name << "/" << k.name;
-    }
+  for (const auto& [label, raw] : pass_corpus()) {
+    vir::Kernel k = raw;
+    vir::passes::run_pipeline(k, 2);
+    const std::string once = vir::to_string(k);
+    vir::passes::PassStats again = vir::passes::run_pipeline(k, 2);
+    EXPECT_EQ(again.copyprop_removed + again.gvn_hits + again.dce_removed +
+                  again.strength_reduced + again.sched_moves,
+              0)
+        << label << ": second pipeline run found work";
+    EXPECT_EQ(vir::to_string(k), once) << label;
   }
 }
 
@@ -397,18 +423,108 @@ TEST(VirPasses, SideEffectsAreNeverRemoved) {
 TEST(VirPasses, PipelineNeverRaisesLivePressure) {
   // The contract the SAFARA feedback loop depends on: optimizing must never
   // make the register situation worse, on any workload, at any level.
-  for (const workloads::Workload& w : workloads::all_workloads()) {
-    for (vir::Kernel k : raw_kernels(w)) {
-      for (int level : {1, 2}) {
-        vir::Kernel copy = k;
-        vir::passes::PassStats s = vir::passes::run_pipeline(copy, level);
-        EXPECT_LE(s.pressure_after, s.pressure_before)
-            << w.name << "/" << k.name << " at opt-level " << level;
-        EXPECT_EQ(s.pressure_after, vir::passes::max_live_pressure(copy))
-            << w.name << "/" << k.name << ": stats disagree with the kernel";
-      }
+  for (const auto& [label, k] : pass_corpus()) {
+    for (int level : {1, 2}) {
+      vir::Kernel copy = k;
+      vir::passes::PassStats s = vir::passes::run_pipeline(copy, level);
+      EXPECT_LE(s.pressure_after, s.pressure_before) << label << " at opt-level " << level;
+      EXPECT_EQ(s.pressure_after, vir::passes::max_live_pressure(copy))
+          << label << ": stats disagree with the kernel";
     }
   }
+}
+
+TEST(VirPasses, MaxLivePressureMatchesIntervals) {
+  // max_live_pressure works from per-vreg extents; it must report the same
+  // peak as a sweep over the allocator's own intervals, before and after
+  // the pipeline reshapes the kernel.
+  auto interval_peak = [](const vir::Kernel& k) {
+    std::vector<int> delta(k.code.size() + 2, 0);
+    for (const vir::LiveInterval& iv : vir::compute_live_intervals(k)) {
+      const int w = vir::registers_of(k.vreg_types[iv.vreg]);
+      delta[static_cast<std::size_t>(iv.start)] += w;
+      delta[static_cast<std::size_t>(iv.end) + 1] -= w;
+    }
+    int cur = 0, peak = 0;
+    for (int d : delta) {
+      cur += d;
+      peak = std::max(peak, cur);
+    }
+    return peak;
+  };
+  for (const auto& [label, raw] : pass_corpus()) {
+    vir::Kernel k = raw;
+    EXPECT_EQ(vir::passes::max_live_pressure(k), interval_peak(k)) << label << " (raw)";
+    vir::passes::run_pipeline(k, 2);
+    EXPECT_EQ(vir::passes::max_live_pressure(k), interval_peak(k)) << label << " (O2)";
+  }
+}
+
+TEST(VirPasses, GvnScopesValuesToDominators) {
+  // A diamond: entry computes E = n + 3 and branches; each arm and the join
+  // recompute values. Only a dominating definition may absorb a duplicate.
+  using vir::Instr;
+  using vir::Opcode;
+  using vir::VType;
+  vir::Kernel k;
+  auto reg = [&k](VType t) {
+    k.vreg_types.push_back(t);
+    k.vreg_names.push_back("");
+    return k.num_vregs() - 1;
+  };
+  auto emit = [&k](Opcode op, VType t, std::uint32_t dst, std::uint32_t a = vir::kNoReg,
+                   std::uint32_t b = vir::kNoReg) -> Instr& {
+    Instr in;
+    in.op = op;
+    in.type = t;
+    in.dst = dst;
+    in.a = a;
+    in.b = b;
+    in.loc = SourceLoc{1, 1};
+    k.code.push_back(in);
+    return k.code.back();
+  };
+  const VType i32 = VType::kI32;
+  const std::uint32_t n = reg(i32), three = reg(i32), e = reg(i32), p = reg(VType::kPred);
+  const std::uint32_t e_arm = reg(i32), sq_then = reg(i32), sq_else = reg(i32), e_join = reg(i32);
+  k.labels = {-1, -1};  // 0: else arm, 1: join
+  emit(Opcode::kLdParam, i32, n).imm = 0;
+  emit(Opcode::kMovImmI, i32, three).imm = 3;
+  emit(Opcode::kAdd, i32, e, n, three);
+  emit(Opcode::kSetLt, i32, p, n, three);
+  Instr& br = emit(Opcode::kCbr, i32, vir::kNoReg, p);
+  br.imm = 0;
+  br.imm2 = 1;
+  emit(Opcode::kAdd, i32, e_arm, n, three);      // then: E again
+  emit(Opcode::kMul, i32, sq_then, n, n);        // then-only value
+  emit(Opcode::kStGlobal, i32, vir::kNoReg, e_arm, sq_then);
+  emit(Opcode::kBra, i32, vir::kNoReg).imm = 1;
+  k.labels[0] = static_cast<std::int32_t>(k.code.size());
+  emit(Opcode::kMul, i32, sq_else, n, n);        // else: the sibling's value
+  emit(Opcode::kStGlobal, i32, vir::kNoReg, n, sq_else);
+  k.labels[1] = static_cast<std::int32_t>(k.code.size());
+  emit(Opcode::kAdd, i32, e_join, three, n);     // join: E, operands commuted
+  emit(Opcode::kStGlobal, i32, vir::kNoReg, e_join, e);
+  emit(Opcode::kExit, i32, vir::kNoReg);
+
+  ASSERT_EQ(vir::passes::run_gvn(k), 2) << vir::to_string(k);
+  int muls = 0;
+  for (const Instr& in : k.code) {
+    // E recomputed in an arm and in the join is merged into the entry's E...
+    EXPECT_NE(in.dst, e_arm) << vir::to_string(k);
+    EXPECT_NE(in.dst, e_join) << vir::to_string(k);
+    EXPECT_TRUE(in.a != e_arm && in.a != e_join && in.b != e_arm && in.b != e_join)
+        << "a use of a merged value was not redirected:\n" << vir::to_string(k);
+    // ...but the arms' n*n values do not dominate each other, so both stay.
+    if (in.op == Opcode::kMul) ++muls;
+  }
+  EXPECT_EQ(muls, 2) << vir::to_string(k);
+  // The redirected uses read E: one in the then arm, one in the join.
+  int reads_e = 0;
+  for (const Instr& in : k.code) {
+    if (in.op == Opcode::kStGlobal && in.a == e) ++reads_e;
+  }
+  EXPECT_EQ(reads_e, 2) << vir::to_string(k);
 }
 
 TEST(VirPasses, LevelZeroIsIdentity) {

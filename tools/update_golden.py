@@ -6,9 +6,15 @@ Default mode verifies: for every MANIFEST entry it runs
 compares the output byte-for-byte against the checked-in .vir file,
 printing a unified diff for any mismatch (exit 1).
 
-`--bless` rewrites the .vir files from the current compiler output instead.
-Bless only after reviewing the diff — the snapshots are the contract that
-codegen and the VIR pass pipeline are stable.
+It also pins the fuzz corpus: `fuzz_vir.digest` holds one line per
+(seed, config) for the FUZZ_SEEDS x FUZZ_CONFIGS grid, the FNV-1a 64 hash
+of `safcc <program> --config <config> --dump-vir` on the program
+`safcc-fuzz --emit-seed <seed>` prints. `GoldenVir.FuzzDigestsMatch`
+recomputes the same hashes in-process.
+
+`--bless` rewrites the .vir files and the digest from the current compiler
+output instead. Bless only after reviewing the diff — the snapshots are the
+contract that codegen and the VIR pass pipeline are stable.
 """
 
 import argparse
@@ -16,8 +22,48 @@ import difflib
 import os
 import subprocess
 import sys
+import tempfile
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+FUZZ_SEEDS = range(1, 51)
+FUZZ_CONFIGS = ("base", "safara", "safara_clauses", "pgi")
+DIGEST_HEADER = (
+    "# FNV-1a 64 of `safcc <program> --config <config> --dump-vir`, where\n"
+    "# <program> is `safcc-fuzz --emit-seed <seed>`. One line per pair:\n"
+    "#   <seed> <config> <hash>\n"
+    "# Regenerate with: python3 tools/update_golden.py --bless\n")
+
+
+def fnv1a64(data):
+    h = 0xcbf29ce484222325
+    for byte in data:
+        h = ((h ^ byte) * 0x100000001b3) & 0xFFFFFFFFFFFFFFFF
+    return h
+
+
+def fuzz_digest(safcc, safcc_fuzz):
+    """The digest file's text, or None after printing a tool failure."""
+    lines = [DIGEST_HEADER]
+    with tempfile.TemporaryDirectory() as tmp:
+        program = os.path.join(tmp, "fuzz.acc")
+        for seed in FUZZ_SEEDS:
+            emit = subprocess.run([safcc_fuzz, "--emit-seed", str(seed)], capture_output=True)
+            if emit.returncode != 0:
+                print(f"FAIL fuzz seed {seed}: safcc-fuzz exited {emit.returncode}",
+                      file=sys.stderr)
+                return None
+            with open(program, "wb") as f:
+                f.write(emit.stdout)
+            for config in FUZZ_CONFIGS:
+                proc = subprocess.run([safcc, program, "--config", config, "--dump-vir"],
+                                      capture_output=True)
+                if proc.returncode != 0:
+                    print(f"FAIL fuzz seed {seed} {config}: safcc exited "
+                          f"{proc.returncode}:\n{proc.stderr.decode()}", file=sys.stderr)
+                    return None
+                lines.append(f"{seed} {config} {fnv1a64(proc.stdout):016x}\n")
+    return "".join(lines)
 
 
 def parse_manifest(path):
@@ -37,15 +83,20 @@ def parse_manifest(path):
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--safcc", default=os.path.join(REPO, "build", "tools", "safcc"),
-                    help="path to the safcc binary (default: build/tools/safcc)")
+                    help="path to the safcc binary (default: build/tools/safcc); "
+                         "safcc-fuzz is taken from the same directory")
     ap.add_argument("--golden-dir", default=os.path.join(REPO, "tests", "golden"),
-                    help="directory holding MANIFEST, *.acc and *.vir")
+                    help="directory holding MANIFEST, *.acc, *.vir and fuzz_vir.digest")
     ap.add_argument("--bless", action="store_true",
-                    help="rewrite the .vir snapshots from current compiler output")
+                    help="rewrite the .vir snapshots and the fuzz digest from current "
+                         "compiler output")
     args = ap.parse_args()
 
     if not os.path.exists(args.safcc):
         sys.exit(f"update_golden: safcc not found at {args.safcc} (build first, or pass --safcc)")
+    safcc_fuzz = os.path.join(os.path.dirname(args.safcc), "safcc-fuzz")
+    if not os.path.exists(safcc_fuzz):
+        sys.exit(f"update_golden: safcc-fuzz not found at {safcc_fuzz} (build first)")
 
     entries = parse_manifest(os.path.join(args.golden_dir, "MANIFEST"))
     failures = 0
@@ -83,16 +134,37 @@ def main():
                                         fromfile="golden", tofile="safcc --dump-vir")
             sys.stderr.writelines(diff)
 
+    digest_path = os.path.join(args.golden_dir, "fuzz_vir.digest")
+    digest = fuzz_digest(args.safcc, safcc_fuzz)
+    old_digest = open(digest_path).read() if os.path.exists(digest_path) else None
+    if digest is None:
+        failures += 1
+    elif args.bless:
+        if old_digest != digest:
+            with open(digest_path, "w") as f:
+                f.write(digest)
+            blessed += 1
+            print(f"blessed {os.path.relpath(digest_path, REPO)}")
+    elif old_digest != digest:
+        failures += 1
+        print(f"FAIL fuzz digest differs from {os.path.relpath(digest_path, REPO)}:",
+              file=sys.stderr)
+        diff = difflib.unified_diff((old_digest or "").splitlines(True),
+                                    digest.splitlines(True),
+                                    fromfile="golden", tofile="safcc --dump-vir")
+        sys.stderr.writelines(diff)
+
+    total = len(entries) + 1
     if args.bless:
         print(f"update_golden: {blessed} snapshot(s) rewritten, "
-              f"{len(entries) - blessed} unchanged"
+              f"{total - blessed} unchanged"
               + (f", {failures} compile failure(s)" if failures else ""))
         return 1 if failures else 0
     if failures:
-        print(f"update_golden: {failures}/{len(entries)} snapshot(s) differ "
+        print(f"update_golden: {failures}/{total} snapshot(s) differ "
               f"(review, then tools/update_golden.py --bless)", file=sys.stderr)
         return 1
-    print(f"update_golden: all {len(entries)} snapshot(s) match")
+    print(f"update_golden: all {total} snapshot(s) match")
     return 0
 
 
