@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Check or re-bless the golden-IR snapshots in tests/golden/.
+"""Check or re-bless the golden files in tests/golden/.
 
 Default mode verifies: for every MANIFEST entry it runs
 `safcc <kernel>.acc --config <config> --opt-level <n> --dump-vir` and
@@ -12,9 +12,15 @@ of `safcc <program> --config <config> --dump-vir` on the program
 `safcc-fuzz --emit-seed <seed>` prints. `GoldenVir.FuzzDigestsMatch`
 recomputes the same hashes in-process.
 
-`--bless` rewrites the .vir files and the digest from the current compiler
-output instead. Bless only after reviewing the diff — the snapshots are the
-contract that codegen and the VIR pass pipeline are stable.
+And it pins the paper's evaluation: `reproduce.txt` is the stdout of
+`bench/reproduce` at the default thread budgets, every table plus each
+distinct cell's cycles, registers and checksum (the
+`bench_reproduce_matches_golden` ctest checks the same file).
+
+`--bless` rewrites the .vir files, the digest and reproduce.txt from the
+current output instead. Bless only after reviewing the diff — the snapshots
+are the contract that codegen, the VIR pass pipeline and the simulated
+results are stable.
 """
 
 import argparse
@@ -66,6 +72,30 @@ def fuzz_digest(safcc, safcc_fuzz):
     return "".join(lines)
 
 
+def settle(path, actual, bless, producer):
+    """Rewrites (under --bless) or checks one golden file against `actual`.
+    Returns (failed, blessed)."""
+    rel = os.path.relpath(path, REPO)
+    old = open(path).read() if os.path.exists(path) else None
+    if bless:
+        if old == actual:
+            return False, False
+        with open(path, "w") as f:
+            f.write(actual)
+        print(f"blessed {rel}")
+        return False, True
+    if old is None:
+        print(f"FAIL missing golden {rel} (run with --bless)", file=sys.stderr)
+        return True, False
+    if old != actual:
+        print(f"FAIL {producer} differs from {rel}:", file=sys.stderr)
+        sys.stderr.writelines(difflib.unified_diff(
+            old.splitlines(True), actual.splitlines(True),
+            fromfile="golden", tofile=producer))
+        return True, False
+    return False, False
+
+
 def parse_manifest(path):
     entries = []
     with open(path) as f:
@@ -84,19 +114,22 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--safcc", default=os.path.join(REPO, "build", "tools", "safcc"),
                     help="path to the safcc binary (default: build/tools/safcc); "
-                         "safcc-fuzz is taken from the same directory")
+                         "safcc-fuzz is taken from the same directory and "
+                         "reproduce from ../bench")
     ap.add_argument("--golden-dir", default=os.path.join(REPO, "tests", "golden"),
-                    help="directory holding MANIFEST, *.acc, *.vir and fuzz_vir.digest")
+                    help="directory holding MANIFEST, *.acc, *.vir, fuzz_vir.digest "
+                         "and reproduce.txt")
     ap.add_argument("--bless", action="store_true",
-                    help="rewrite the .vir snapshots and the fuzz digest from current "
-                         "compiler output")
+                    help="rewrite the .vir snapshots, the fuzz digest and "
+                         "reproduce.txt from current output")
     args = ap.parse_args()
 
-    if not os.path.exists(args.safcc):
-        sys.exit(f"update_golden: safcc not found at {args.safcc} (build first, or pass --safcc)")
+    build = os.path.dirname(os.path.dirname(args.safcc))
     safcc_fuzz = os.path.join(os.path.dirname(args.safcc), "safcc-fuzz")
-    if not os.path.exists(safcc_fuzz):
-        sys.exit(f"update_golden: safcc-fuzz not found at {safcc_fuzz} (build first)")
+    reproduce = os.path.join(build, "bench", "reproduce")
+    for tool in (args.safcc, safcc_fuzz, reproduce):
+        if not os.path.exists(tool):
+            sys.exit(f"update_golden: {tool} not found (build first, or pass --safcc)")
 
     entries = parse_manifest(os.path.join(args.golden_dir, "MANIFEST"))
     failures = 0
@@ -111,54 +144,34 @@ def main():
                   f"{proc.stderr}", file=sys.stderr)
             failures += 1
             continue
-        actual = proc.stdout
-        if args.bless:
-            old = open(golden).read() if os.path.exists(golden) else None
-            if old != actual:
-                with open(golden, "w") as f:
-                    f.write(actual)
-                blessed += 1
-                print(f"blessed {os.path.relpath(golden, REPO)}")
-            continue
-        if not os.path.exists(golden):
-            print(f"FAIL {kernel} {config} O{opt}: missing golden "
-                  f"{os.path.relpath(golden, REPO)} (run with --bless)", file=sys.stderr)
-            failures += 1
-            continue
-        expected = open(golden).read()
-        if actual != expected:
-            failures += 1
-            print(f"FAIL {kernel} {config} O{opt}: dump differs from "
-                  f"{os.path.relpath(golden, REPO)}:", file=sys.stderr)
-            diff = difflib.unified_diff(expected.splitlines(True), actual.splitlines(True),
-                                        fromfile="golden", tofile="safcc --dump-vir")
-            sys.stderr.writelines(diff)
+        failed, wrote = settle(golden, proc.stdout, args.bless, "safcc --dump-vir")
+        failures += failed
+        blessed += wrote
 
-    digest_path = os.path.join(args.golden_dir, "fuzz_vir.digest")
     digest = fuzz_digest(args.safcc, safcc_fuzz)
-    old_digest = open(digest_path).read() if os.path.exists(digest_path) else None
     if digest is None:
         failures += 1
-    elif args.bless:
-        if old_digest != digest:
-            with open(digest_path, "w") as f:
-                f.write(digest)
-            blessed += 1
-            print(f"blessed {os.path.relpath(digest_path, REPO)}")
-    elif old_digest != digest:
-        failures += 1
-        print(f"FAIL fuzz digest differs from {os.path.relpath(digest_path, REPO)}:",
-              file=sys.stderr)
-        diff = difflib.unified_diff((old_digest or "").splitlines(True),
-                                    digest.splitlines(True),
-                                    fromfile="golden", tofile="safcc --dump-vir")
-        sys.stderr.writelines(diff)
+    else:
+        failed, wrote = settle(os.path.join(args.golden_dir, "fuzz_vir.digest"), digest,
+                               args.bless, "safcc --dump-vir")
+        failures += failed
+        blessed += wrote
 
-    total = len(entries) + 1
+    proc = subprocess.run([reproduce], capture_output=True, text=True)
+    if proc.returncode != 0:
+        print(f"FAIL reproduce exited {proc.returncode}:\n{proc.stderr}", file=sys.stderr)
+        failures += 1
+    else:
+        failed, wrote = settle(os.path.join(args.golden_dir, "reproduce.txt"), proc.stdout,
+                               args.bless, "reproduce")
+        failures += failed
+        blessed += wrote
+
+    total = len(entries) + 2
     if args.bless:
         print(f"update_golden: {blessed} snapshot(s) rewritten, "
               f"{total - blessed} unchanged"
-              + (f", {failures} compile failure(s)" if failures else ""))
+              + (f", {failures} failure(s)" if failures else ""))
         return 1 if failures else 0
     if failures:
         print(f"update_golden: {failures}/{total} snapshot(s) differ "
