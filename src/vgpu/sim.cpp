@@ -1,6 +1,7 @@
 #include "vgpu/sim.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -252,6 +253,10 @@ struct Warp {
   std::uint64_t pending_mask = 0;
   std::int64_t pending_until = 0;
 };
+
+// The warp scheduler's masks are one 64-bit word, bit i naming the i-th
+// resident warp; launch() rejects a launch that would keep more resident.
+constexpr int kMaxResidentWarps = 64;
 
 struct ResidentBlock {
   int coords[3] = {0, 0, 0};
@@ -529,6 +534,14 @@ class SmSimulator {
   std::uint64_t superblock_retires() const { return superblock_retires_; }
 
   /// Runs the given linear block indices to completion; returns SM cycles.
+  ///
+  /// Each cycle issues from the warps in `ready_`, walking them round-robin
+  /// from position `rr % n` until `schedulers_per_sm` have issued; a warp
+  /// that stalls on the scoreboard in step() takes no issue slot. A stepped
+  /// warp is refiled under its new ready cycle, so the cost of a cycle is the
+  /// warps it steps, not the warps resident. A cycle that issues nothing
+  /// jumps straight to the next wake-up (see docs/SIMULATOR.md, "Warp
+  /// scheduler").
   std::uint64_t run(const std::vector<std::int64_t>& block_ids, int blocks_per_sm) {
     if (prof_) prof_->pcs.assign(k_.code.size(), obs::PcProfile{});
     pending_ = &block_ids;
@@ -537,39 +550,39 @@ class SmSimulator {
       admit_block();
     }
     cycle_ = 0;
+    rebuild_schedule();
     std::size_t rr = 0;
     while (!warps_.empty()) {
       int issued = 0;
       int finished_now = 0;
       std::int32_t first_issue_pc = 0;
-      const std::size_t n = warps_.size();
-      std::size_t idx = rr % n;
-      // The scan reads the contiguous ready-cycle mirror and only touches a
-      // Warp it can actually step; stalled warps (the common case) cost one
-      // in-cache compare instead of a pointer chase.
-      for (std::size_t scan = 0; scan < n && issued < spec_.schedulers_per_sm; ++scan) {
-        if (ready_mirror_[idx] <= cycle_) {
-          Warp& w = *warps_[idx];
-          if (step(w)) {
-            // Per-pc attribution: step() recorded the pc it issued in
-            // last_issue_pc_. The cycle's first issue claims the issue-cycle
-            // credit, but only below where the SM-level counter increments —
-            // the final cycle (empty-SM break) issues without being counted,
-            // and the per-pc sums must reproduce the SM totals exactly.
-            if (prof_) {
-              ++prof_->pcs[static_cast<std::size_t>(last_issue_pc_)].issued;
-              if (issued == 0) first_issue_pc = last_issue_pc_;
-            }
-            ++issued;
+      // Rotating the cycle-start ready set by the round-robin start lists
+      // positions [start, n) and then [0, start) in ascending bit order (no
+      // bit at or above n is ever set). Warps stepped below leave `ready_`
+      // but not this copy, so none is visited twice in a cycle.
+      const unsigned start = static_cast<unsigned>(rr % warps_.size());
+      for (std::uint64_t m = std::rotr(ready_, static_cast<int>(start));
+           m != 0 && issued < spec_.schedulers_per_sm; m &= m - 1) {
+        const unsigned i = (static_cast<unsigned>(std::countr_zero(m)) + start) & 63u;
+        Warp& w = *warps_[i];
+        if (step(w)) {
+          // Per-pc attribution: step() recorded the pc it issued in
+          // last_issue_pc_. The cycle's first issue claims the issue-cycle
+          // credit, but only below where the SM-level counter increments —
+          // the final cycle (empty-SM break) issues without being counted,
+          // and the per-pc sums must reproduce the SM totals exactly.
+          if (prof_) {
+            ++prof_->pcs[static_cast<std::size_t>(last_issue_pc_)].issued;
+            if (issued == 0) first_issue_pc = last_issue_pc_;
           }
-          if (w.finished) {
-            ready_mirror_[idx] = kFinishedMirror;
-            ++finished_now;
-          } else {
-            ready_mirror_[idx] = w.ready_cycle;
-          }
+          ++issued;
         }
-        if (++idx == n) idx = 0;
+        ready_ &= ~(1ull << i);
+        if (w.finished) {
+          ++finished_now;
+        } else {
+          file_warp(i, w.ready_cycle);
+        }
       }
       ++rr;
       // Account issued instructions before the empty-SM break below: the
@@ -579,27 +592,44 @@ class SmSimulator {
         prof_->issued_instructions += static_cast<std::uint64_t>(issued);
       }
       // Warps only finish inside step(), so most cycles have nothing to
-      // retire and can skip the walk entirely.
-      if (finished_now > 0) retire_finished();
+      // retire. Retiring renumbers the warps, so the schedule is refiled.
+      if (finished_now > 0) {
+        retire_finished();
+        rebuild_schedule();
+      }
       if (warps_.empty()) break;
       if (issued == 0) {
-        // retire_finished just ran, so every resident warp is unfinished and
-        // its mirror entry is its true ready cycle.
-        std::int64_t next = std::numeric_limits<std::int64_t>::max();
-        const Warp* blocker = nullptr;
-        for (std::size_t i = 0; i < warps_.size(); ++i) {
-          if (ready_mirror_[i] < next) {
-            next = ready_mirror_[i];
-            blocker = warps_[i].get();
-          }
+        // Every warp that was ready has been stepped and refiled, so the
+        // earliest wake-up is the next cycle anything can issue in. Warps
+        // admitted this cycle are still ready (at cycle_); otherwise the
+        // nearest wheel slot wins, and the far set only when the wheel is
+        // empty (everything in it is at least a wheel's span away).
+        std::int64_t next;
+        std::uint64_t waking = ready_;
+        if (waking != 0) {
+          next = cycle_;
+        } else if (wheel_slots_ != 0) {
+          const unsigned base = static_cast<unsigned>(cycle_ + 1) & 63u;
+          const int ahead = std::countr_zero(std::rotr(wheel_slots_, static_cast<int>(base)));
+          next = cycle_ + 1 + ahead;
+          waking = wheel_[(base + static_cast<unsigned>(ahead)) & 63u];
+        } else {
+          next = far_min_;
+          waking = far_;
         }
         const std::int64_t target = std::max(cycle_ + 1, next);
         if (prof_) {
           // Attribute the whole idle gap to whatever the earliest-unblocking
-          // warp is waiting on, and to the instruction it is stalled at. A
-          // draining warp stalls at its next micro-op; a warp that branched
-          // to the end label waits at pc == code.size(), which we clamp to
-          // the final instruction (the exit) for per-pc bookkeeping.
+          // warp is waiting on, and to the instruction it is stalled at; ties
+          // go to the lowest position. A draining warp stalls at its next
+          // micro-op; a warp that branched to the end label waits at pc ==
+          // code.size(), which we clamp to the final instruction (the exit)
+          // for per-pc bookkeeping.
+          const Warp* blocker = nullptr;
+          for (std::uint64_t m = waking; m != 0 && !blocker; m &= m - 1) {
+            const Warp& w = *warps_[static_cast<std::size_t>(std::countr_zero(m))];
+            if (w.ready_cycle == next) blocker = &w;
+          }
           const std::uint64_t gap = static_cast<std::uint64_t>(target - cycle_);
           std::size_t stall_pc = 0;
           if (blocker) {
@@ -617,13 +647,13 @@ class SmSimulator {
             prof_->pcs[stall_pc].stall_scoreboard += gap;
           }
         }
-        cycle_ = target;
+        advance_to(target);
       } else {
         if (prof_) {
           ++prof_->issue_cycles;
           ++prof_->pcs[static_cast<std::size_t>(first_issue_pc)].issue_cycles;
         }
-        ++cycle_;
+        advance_to(cycle_ + 1);
       }
     }
     if (prof_) prof_->cycles = static_cast<std::uint64_t>(cycle_);
@@ -672,7 +702,6 @@ class SmSimulator {
       if (prof_) w->reg_from_mem.assign(k_.num_vregs(), 0);
       w->ready_cycle = cycle_;
       warps_.push_back(std::move(w));
-      ready_mirror_.push_back(cycle_);
     }
     if (prof_) {
       ++prof_->blocks_executed;
@@ -682,22 +711,83 @@ class SmSimulator {
     }
   }
 
+  /// Removes finished warps, keeping the survivors in order; a block whose
+  /// last warp retires makes room for the next pending block, whose warps are
+  /// appended.
   void retire_finished() {
     for (std::size_t i = 0; i < warps_.size();) {
-      if (ready_mirror_[i] != kFinishedMirror) {
+      if (!warps_[i]->finished) {
         ++i;
         continue;
       }
       int bi = warps_[i]->block_index;
       warp_pool_.push_back(std::move(warps_[i]));
       warps_.erase(warps_.begin() + static_cast<std::ptrdiff_t>(i));
-      ready_mirror_.erase(ready_mirror_.begin() + static_cast<std::ptrdiff_t>(i));
       if (--blocks_[static_cast<std::size_t>(bi)].warps_left == 0 &&
           next_pending_ < pending_->size()) {
         admit_block();
       }
     }
     if (prof_) sample_warps();
+  }
+
+  // -- warp schedule ------------------------------------------------------------
+  //
+  // Every resident, unfinished warp sits in exactly one of three places, by
+  // its ready cycle r: the ready mask (r <= cycle_), the wheel slot r & 63
+  // (cycle_ < r < cycle_ + 64; one r per slot), or the far mask. Bit i of
+  // each mask names warps_[i]; launch() keeps residency at 64 or fewer.
+
+  /// Files warp `i`, whose ready cycle is `r`, under that cycle.
+  void file_warp(unsigned i, std::int64_t r) {
+    const std::uint64_t bit = 1ull << i;
+    if (r <= cycle_) {
+      ready_ |= bit;
+    } else if (r - cycle_ < kWheelSlots) {
+      const unsigned slot = static_cast<unsigned>(r) & 63u;
+      wheel_[slot] |= bit;
+      wheel_slots_ |= 1ull << slot;
+    } else {
+      far_ |= bit;
+      far_min_ = std::min(far_min_, r);
+    }
+  }
+
+  /// Files every resident warp afresh; retire_finished() renumbers them.
+  void rebuild_schedule() {
+    ready_ = 0;
+    for (std::uint64_t m = wheel_slots_; m != 0; m &= m - 1) wheel_[std::countr_zero(m)] = 0;
+    wheel_slots_ = 0;
+    far_ = 0;
+    far_min_ = std::numeric_limits<std::int64_t>::max();
+    for (std::size_t i = 0; i < warps_.size(); ++i) {
+      file_warp(static_cast<unsigned>(i), warps_[i]->ready_cycle);
+    }
+  }
+
+  /// Moves the clock to `t` and readies the warps that wake at `t`. No warp
+  /// may wake strictly between the current cycle and `t`: that holds for the
+  /// next cycle and for an idle jump to the earliest wake-up.
+  void advance_to(std::int64_t t) {
+    cycle_ = t;
+    const unsigned slot = static_cast<unsigned>(t) & 63u;
+    if ((wheel_slots_ >> slot) & 1u) {
+      ready_ |= wheel_[slot];
+      wheel_[slot] = 0;
+      wheel_slots_ &= ~(1ull << slot);
+    }
+    if (far_ != 0 && far_min_ - cycle_ < kWheelSlots) wake_far();
+  }
+
+  /// Refiles the far warps that came within a wheel's span of the clock.
+  void wake_far() {
+    const std::uint64_t far = far_;
+    far_ = 0;
+    far_min_ = std::numeric_limits<std::int64_t>::max();
+    for (std::uint64_t m = far; m != 0; m &= m - 1) {
+      const unsigned i = static_cast<unsigned>(std::countr_zero(m));
+      file_warp(i, warps_[i]->ready_cycle);
+    }
   }
 
   /// Records one occupancy-timeline sample at the current cycle; multiple
@@ -1576,16 +1666,19 @@ class SmSimulator {
   std::uint64_t ro_misses_seen_ = 0;
   std::uint64_t superblock_retires_ = 0;
 
-  static constexpr std::int64_t kFinishedMirror = std::numeric_limits<std::int64_t>::max();
+  static constexpr std::int64_t kWheelSlots = 64;
 
   const std::vector<std::int64_t>* pending_ = nullptr;  // run()'s block list, not copied
   std::size_t next_pending_ = 0;
   std::vector<ResidentBlock> blocks_;
   std::vector<std::unique_ptr<Warp>> warps_;
   std::vector<std::unique_ptr<Warp>> warp_pool_;  // retired warps, reused by admit_block
-  // ready_mirror_[i] mirrors warps_[i]->ready_cycle (kFinishedMirror once
-  // finished) so the per-cycle scheduler scan stays in contiguous memory.
-  std::vector<std::int64_t> ready_mirror_;
+  // The warp schedule (see file_warp): warp masks indexed like warps_.
+  std::uint64_t ready_ = 0;
+  std::uint64_t wheel_[kWheelSlots] = {};
+  std::uint64_t wheel_slots_ = 0;  // bit s set iff wheel_[s] != 0
+  std::uint64_t far_ = 0;
+  std::int64_t far_min_ = std::numeric_limits<std::int64_t>::max();  // earliest far wake
   std::int64_t cycle_ = 0;
   std::int64_t mem_free_ = 0;
   // The pc step() last consumed an issue slot for (only maintained when
@@ -1784,6 +1877,15 @@ LaunchStats launch(const Kernel& kernel, const regalloc::AllocationResult& alloc
   stats.occupancy = occ.ratio;
   stats.occupancy_limiter = occ.limiter;
   const int blocks_per_sm = std::max(occ.blocks_per_sm, 1);
+  const std::int64_t resident_warps =
+      static_cast<std::int64_t>(blocks_per_sm) *
+      ((cfg.threads_per_block() + spec.warp_size - 1) / spec.warp_size);
+  if (resident_warps > kMaxResidentWarps) {
+    throw std::runtime_error("launch: kernel " + kernel.name + " would keep " +
+                             std::to_string(resident_warps) +
+                             " warps resident per SM; the simulator holds at most " +
+                             std::to_string(kMaxResidentWarps));
+  }
 
   obs::KernelSimProfile* kprof =
       collector ? &collector->begin_kernel_profile(kernel.name) : nullptr;

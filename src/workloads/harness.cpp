@@ -12,7 +12,8 @@ double checksum_of(const Dataset& data, const std::vector<std::string>& outputs)
   double sum = 0.0;
   for (const std::string& name : outputs) {
     const driver::HostArray& arr = data.array(name);
-    for (std::int64_t i = 0; i < arr.element_count(); ++i) sum += arr.get(i);
+    const std::int64_t count = arr.element_count();
+    for (std::int64_t i = 0; i < count; ++i) sum += arr.get(i);
   }
   return sum;
 }

@@ -6,13 +6,15 @@ namespace safara::workloads {
 
 void fill(driver::HostArray& arr, std::uint64_t seed, double lo, double hi) {
   std::uint64_t s = seed * 2654435761ULL + 88172645463325252ULL;
-  for (std::int64_t i = 0; i < arr.element_count(); ++i) {
+  const std::int64_t count = arr.element_count();
+  const bool is_float = ast::is_float(arr.elem);
+  for (std::int64_t i = 0; i < count; ++i) {
     s ^= s << 13;
     s ^= s >> 7;
     s ^= s << 17;
     double u = static_cast<double>(s % 100000) / 100000.0;
     double v = lo + (hi - lo) * u;
-    if (ast::is_float(arr.elem)) {
+    if (is_float) {
       arr.set(i, v);
     } else {
       arr.set_int(i, static_cast<std::int64_t>(u * 1000.0));

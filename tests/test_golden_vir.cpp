@@ -1,9 +1,10 @@
-// Golden-IR snapshot tests: compile every tests/golden/MANIFEST entry
+// Golden snapshot tests: compile every tests/golden/MANIFEST entry
 // in-process and require driver::dump_vir() to match the checked-in .vir
-// file byte-for-byte, and every fuzz_vir.digest line to match the hash of
-// the generated program's dump. A mismatch means codegen or the VIR pass
-// pipeline changed shape — review the diff, then re-bless with
-// `python3 tools/update_golden.py --bless`.
+// file byte-for-byte, every fuzz_vir.digest line to match the hash of the
+// generated program's dump, and every sim_profile.digest line to match the
+// hash of the workload's simulator profile document. A mismatch means
+// codegen, the VIR pass pipeline or the simulated schedule changed shape —
+// review the diff, then re-bless with `python3 tools/update_golden.py --bless`.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,7 +16,9 @@
 #include <vector>
 
 #include "driver/compiler.hpp"
+#include "driver/sim_profile.hpp"
 #include "fuzz/generator.hpp"
+#include "workloads/harness.hpp"
 
 #ifndef SAFARA_GOLDEN_DIR
 #error "SAFARA_GOLDEN_DIR must point at tests/golden"
@@ -186,6 +189,42 @@ TEST(GoldenVir, FuzzDigestsMatch) {
     ++checked;
   }
   EXPECT_EQ(checked, 200);
+}
+
+// The simulator's observable schedule, pinned by hash: tools/update_golden.py
+// writes one `<workload> <config> <fnv1a64>` line per pair from the document
+// `safcc --workload W --config C --sim-threads 1 --sim-profile-out F` writes,
+// and this rebuilds each document the way safcc does. The per-SM and per-pc
+// issue and stall attribution and the warp timelines it holds are what a
+// scheduler change must leave alone. One sim thread: 356.sp races across SMs.
+TEST(GoldenSimProfile, DigestsMatch) {
+  bool ok = false;
+  const std::string text =
+      read_file(std::string(SAFARA_GOLDEN_DIR) + "/sim_profile.digest", &ok);
+  ASSERT_TRUE(ok) << "missing sim_profile.digest (run tools/update_golden.py --bless)";
+  std::istringstream lines(text);
+  std::string line;
+  int checked = 0;
+  while (std::getline(lines, line)) {
+    if (line.empty() || line[0] == '#') continue;
+    std::istringstream fields(line);
+    std::string name, config, expected;
+    ASSERT_TRUE(static_cast<bool>(fields >> name >> config >> expected)) << line;
+    SCOPED_TRACE(name + " " + config);
+    const workloads::Workload* w = workloads::find_workload(name);
+    ASSERT_NE(w, nullptr) << "unknown workload '" << name << "' in sim_profile.digest";
+    bool known = false;
+    const driver::CompilerOptions opts = options_for(config, &known);
+    ASSERT_TRUE(known) << "unknown config '" << config << "' in sim_profile.digest";
+    obs::Collector collector;
+    workloads::simulate(*w, opts, &collector, {.threads = 1});
+    const driver::CompiledProgram prog = driver::Compiler(opts).compile(w->source, w->function);
+    const std::string doc = driver::sim_profile_doc(prog, collector, w->name, config).dump(2);
+    EXPECT_EQ(fnv1a_hex(doc + "\n"), expected)
+        << "if intentional: python3 tools/update_golden.py --bless";
+    ++checked;
+  }
+  EXPECT_EQ(checked, 80);
 }
 
 }  // namespace

@@ -291,6 +291,50 @@ void f(int n, float *x) {
   EXPECT_THROW(run_sim(prog, data), std::runtime_error);
 }
 
+// The warp scheduler keeps one bit per resident warp in a 64-bit word, so a
+// launch whose occupancy would keep more than 64 warps on an SM is refused,
+// by name, instead of simulated.
+TEST(SimScheduler, RejectsMoreThan64ResidentWarps) {
+  const char* src = R"(
+void wide(int n, const float *x, float *y) {
+  #pragma acc parallel loop gang vector(1024)
+  for (i = 0; i < n; i++) { y[i] = x[i] + 1.0f; }
+})";
+  auto make_data = [] {
+    Data data;
+    data.arrays.emplace("x", f32_array({{0, 8192}}));
+    data.arrays.emplace("y", f32_array({{0, 8192}}));
+    fill_pattern(data.array("x"), 4);
+    data.scalars.emplace("n", rt::ScalarValue::of_i32(8192));
+    return data;
+  };
+  driver::Compiler compiler(driver::CompilerOptions::openuh_base());
+  const driver::CompiledProgram prog = compiler.compile(src);
+  ASSERT_EQ(prog.kernels.size(), 1u);
+  const std::string& kernel = prog.kernels[0].kernel.name;
+
+  DeviceSpec wide = DeviceSpec::k20xm();
+  wide.max_warps_per_sm = 128;
+  wide.max_threads_per_sm = 4096;
+  wide.registers_per_sm *= 4;  // warps and threads, not registers, bound residency
+  ASSERT_EQ(vgpu::compute_occupancy(wide, prog.kernels[0].alloc.regs_used, 1024).warps_per_sm,
+            128);
+  Data data = make_data();
+  try {
+    run_sim(prog, data, wide);
+    ADD_FAILURE() << "a launch keeping 128 warps resident must throw";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(kernel), std::string::npos) << e.what();
+  }
+
+  // The same kernel on the paper's device fits (2 blocks of 32 warps).
+  Data fits = make_data();
+  const std::vector<vgpu::LaunchStats> stats = run_sim(prog, fits);
+  EXPECT_GT(stats[0].cycles, 0u);
+  EXPECT_EQ(static_cast<float>(fits.array("y").get(100)),
+            static_cast<float>(fits.array("x").get(100)) + 1.0f);
+}
+
 // -- occupancy ----------------------------------------------------------------------
 
 TEST(Occupancy, FullAtLowRegisters) {

@@ -12,12 +12,19 @@ of `safcc <program> --config <config> --dump-vir` on the program
 `safcc-fuzz --emit-seed <seed>` prints. `GoldenVir.FuzzDigestsMatch`
 recomputes the same hashes in-process.
 
+It pins the simulator's observable schedule: `sim_profile.digest` holds one
+line per (workload, config) for the SIM_WORKLOADS x SIM_CONFIGS grid, the
+FNV-1a 64 of the `safcc --workload <workload> --config <config>
+--sim-threads 1 --sim-profile-out` document (per-SM and per-pc issue and stall
+attribution, warp timelines). `GoldenSimProfile.DigestsMatch` recomputes the
+same hashes in-process.
+
 And it pins the paper's evaluation: `reproduce.txt` is the stdout of
 `bench/reproduce` at the default thread budgets, every table plus each
 distinct cell's cycles, registers and checksum (the
 `bench_reproduce_matches_golden` ctest checks the same file).
 
-`--bless` rewrites the .vir files, the digest and reproduce.txt from the
+`--bless` rewrites the .vir files, the digests and reproduce.txt from the
 current output instead. Bless only after reviewing the diff — the snapshots
 are the contract that codegen, the VIR pass pipeline and the simulated
 results are stable.
@@ -38,6 +45,17 @@ DIGEST_HEADER = (
     "# FNV-1a 64 of `safcc <program> --config <config> --dump-vir`, where\n"
     "# <program> is `safcc-fuzz --emit-seed <seed>`. One line per pair:\n"
     "#   <seed> <config> <hash>\n"
+    "# Regenerate with: python3 tools/update_golden.py --bless\n")
+
+# One sim thread: 356.sp races across SMs at more (ROADMAP item 1).
+SIM_WORKLOADS = ("303.ostencil", "304.olbm", "314.omriq", "350.md", "352.ep",
+                 "353.clvrleaf", "354.cg", "355.seismic", "356.sp", "363.swim",
+                 "EP", "CG", "MG", "SP", "LU", "BT")
+SIM_CONFIGS = ("base", "small", "safara", "safara_clauses", "pgi")
+SIM_DIGEST_HEADER = (
+    "# FNV-1a 64 of the document `safcc --workload <workload> --config <config>\n"
+    "# --sim-threads 1 --sim-profile-out FILE` writes. One line per pair:\n"
+    "#   <workload> <config> <hash>\n"
     "# Regenerate with: python3 tools/update_golden.py --bless\n")
 
 
@@ -69,6 +87,25 @@ def fuzz_digest(safcc, safcc_fuzz):
                           f"{proc.returncode}:\n{proc.stderr.decode()}", file=sys.stderr)
                     return None
                 lines.append(f"{seed} {config} {fnv1a64(proc.stdout):016x}\n")
+    return "".join(lines)
+
+
+def sim_profile_digest(safcc):
+    """The sim profile digest's text, or None after printing a tool failure."""
+    lines = [SIM_DIGEST_HEADER]
+    with tempfile.TemporaryDirectory() as tmp:
+        profile = os.path.join(tmp, "profile.json")
+        for workload in SIM_WORKLOADS:
+            for config in SIM_CONFIGS:
+                proc = subprocess.run([safcc, "--workload", workload, "--config", config,
+                                       "--sim-threads", "1", "--sim-profile-out", profile],
+                                      capture_output=True)
+                if proc.returncode != 0:
+                    print(f"FAIL sim profile {workload} {config}: safcc exited "
+                          f"{proc.returncode}:\n{proc.stderr.decode()}", file=sys.stderr)
+                    return None
+                with open(profile, "rb") as f:
+                    lines.append(f"{workload} {config} {fnv1a64(f.read()):016x}\n")
     return "".join(lines)
 
 
@@ -117,10 +154,10 @@ def main():
                          "safcc-fuzz is taken from the same directory and "
                          "reproduce from ../bench")
     ap.add_argument("--golden-dir", default=os.path.join(REPO, "tests", "golden"),
-                    help="directory holding MANIFEST, *.acc, *.vir, fuzz_vir.digest "
-                         "and reproduce.txt")
+                    help="directory holding MANIFEST, *.acc, *.vir, fuzz_vir.digest, "
+                         "sim_profile.digest and reproduce.txt")
     ap.add_argument("--bless", action="store_true",
-                    help="rewrite the .vir snapshots, the fuzz digest and "
+                    help="rewrite the .vir snapshots, the digests and "
                          "reproduce.txt from current output")
     args = ap.parse_args()
 
@@ -148,12 +185,15 @@ def main():
         failures += failed
         blessed += wrote
 
-    digest = fuzz_digest(args.safcc, safcc_fuzz)
-    if digest is None:
-        failures += 1
-    else:
-        failed, wrote = settle(os.path.join(args.golden_dir, "fuzz_vir.digest"), digest,
-                               args.bless, "safcc --dump-vir")
+    for name, digest, producer in (
+            ("fuzz_vir.digest", fuzz_digest(args.safcc, safcc_fuzz), "safcc --dump-vir"),
+            ("sim_profile.digest", sim_profile_digest(args.safcc),
+             "safcc --sim-profile-out")):
+        if digest is None:
+            failures += 1
+            continue
+        failed, wrote = settle(os.path.join(args.golden_dir, name), digest, args.bless,
+                               producer)
         failures += failed
         blessed += wrote
 
@@ -167,7 +207,7 @@ def main():
         failures += failed
         blessed += wrote
 
-    total = len(entries) + 2
+    total = len(entries) + 3
     if args.bless:
         print(f"update_golden: {blessed} snapshot(s) rewritten, "
               f"{total - blessed} unchanged"
