@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 
@@ -33,7 +34,6 @@ void sample(int nx, int nz, float h,
 
 int main(int argc, char** argv) {
   std::string source = kSample;
-  driver::CompilerOptions opts = driver::CompilerOptions::openuh_safara_clauses();
   std::string config_name = "safara_clauses";
 
   for (int i = 1; i < argc; ++i) {
@@ -50,18 +50,13 @@ int main(int argc, char** argv) {
       source = buf.str();
     }
   }
-  if (config_name == "base") opts = driver::CompilerOptions::openuh_base();
-  else if (config_name == "small") opts = driver::CompilerOptions::openuh_small();
-  else if (config_name == "small_dim") opts = driver::CompilerOptions::openuh_small_dim();
-  else if (config_name == "safara") opts = driver::CompilerOptions::openuh_safara();
-  else if (config_name == "safara_clauses") opts = driver::CompilerOptions::openuh_safara_clauses();
-  else if (config_name == "pgi") opts = driver::CompilerOptions::pgi_like();
-  else {
+  const std::optional<driver::CompilerOptions> opts = driver::named_config(config_name);
+  if (!opts) {
     std::fprintf(stderr, "unknown config '%s'\n", config_name.c_str());
     return 1;
   }
 
-  driver::Compiler compiler(opts);
+  driver::Compiler compiler(*opts);
   driver::CompiledProgram prog;
   try {
     prog = compiler.compile(source);

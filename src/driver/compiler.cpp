@@ -166,6 +166,37 @@ CompilerOptions CompilerOptions::openuh_safara_clauses_verified(CompilerOptions 
   return base;
 }
 
+namespace {
+
+struct NamedConfig {
+  std::string_view name;
+  CompilerOptions (*make)(CompilerOptions);
+};
+
+constexpr NamedConfig kNamedConfigs[] = {
+    {"base", &CompilerOptions::openuh_base},
+    {"small", &CompilerOptions::openuh_small},
+    {"small_dim", &CompilerOptions::openuh_small_dim},
+    {"safara", &CompilerOptions::openuh_safara},
+    {"safara_clauses", &CompilerOptions::openuh_safara_clauses},
+    {"pgi", &CompilerOptions::pgi_like},
+};
+
+}  // namespace
+
+std::optional<CompilerOptions> named_config(std::string_view name, CompilerOptions base) {
+  for (const NamedConfig& c : kNamedConfigs) {
+    if (c.name == name) return c.make(std::move(base));
+  }
+  return std::nullopt;
+}
+
+std::vector<std::string_view> config_names() {
+  std::vector<std::string_view> names;
+  for (const NamedConfig& c : kNamedConfigs) names.push_back(c.name);
+  return names;
+}
+
 codegen::CodegenOptions Compiler::codegen_options() const {
   codegen::CodegenOptions cg;
   cg.honor_dim = opts_.honor_dim;
@@ -346,41 +377,7 @@ CompiledProgram Compiler::compile(const ast::Function& fn) {
     }
     {
       obs::ScopedSpan alloc_span(tracer, "regalloc", "backend");
-      regalloc::AllocatorOptions ra = opts_.regalloc;
-      // Profile-guided recompile: when the attached collector already holds
-      // a sim profile for this kernel (same name, same code length — i.e. a
-      // recompile of what was measured), fold its per-pc attribution into
-      // the spill-cost weights so hot-loop values outbid cold ones for
-      // registers. First compiles see no profile and use uniform weights.
-      if (collector_ && ra.pc_weights.empty()) {
-        for (auto it = collector_->sim_profiles.rbegin();
-             it != collector_->sim_profiles.rend(); ++it) {
-          if (it->kernel != ck.name) continue;
-          const obs::SmProfile totals = it->totals();
-          if (totals.pcs.size() != res.kernel.code.size()) break;
-          std::uint64_t attributed = 0;
-          for (const obs::PcProfile& p : totals.pcs) {
-            attributed += p.issue_cycles + p.stall_scoreboard + p.stall_memory;
-          }
-          if (attributed == 0) break;
-          // Normalize so a pc carrying the mean attribution weighs 2.0 and a
-          // never-executed pc weighs 1.0: relative heat, not absolute cycles.
-          const double mean =
-              static_cast<double>(attributed) / static_cast<double>(totals.pcs.size());
-          ra.pc_weights.resize(totals.pcs.size(), 1.0);
-          for (std::size_t i = 0; i < totals.pcs.size(); ++i) {
-            const obs::PcProfile& p = totals.pcs[i];
-            ra.pc_weights[i] =
-                1.0 + static_cast<double>(p.issue_cycles + p.stall_scoreboard +
-                                          p.stall_memory) /
-                          mean;
-          }
-          alloc_span.set_arg("profile_guided", obs::json::Value(true));
-          collector_->metrics.add("regalloc.profile_guided");
-          break;
-        }
-      }
-      ck.alloc = regalloc::allocate(res.kernel, ra);
+      ck.alloc = regalloc::allocate(res.kernel, opts_.regalloc);
       // RegDem: redirect the hottest spill slots to shared memory while the
       // per-block budget keeps occupancy intact. Post-allocation only — it
       // never changes regs_used, so SAFARA's feedback compiles (which only
@@ -388,7 +385,7 @@ CompiledProgram Compiler::compile(const ast::Function& fn) {
       // assumes the compile-time default block size; the simulator recomputes
       // occupancy with the actual launch config.
       const regalloc::RegDemReport regdem = regalloc::demote_spill_slots(
-          res.kernel, ck.alloc, ra, opts_.device,
+          res.kernel, ck.alloc, opts_.regalloc, opts_.device,
           codegen::LaunchPlan::kDefaultVectorLen);
       alloc_span.set_arg("regs_used", obs::json::Value(ck.alloc.regs_used));
       alloc_span.set_arg("spill_bytes", obs::json::Value(ck.alloc.spill_bytes));

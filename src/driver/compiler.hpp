@@ -11,7 +11,9 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "ast/decl.hpp"
@@ -78,6 +80,14 @@ struct CompilerOptions {
   /// for a parameter of the enclosing class's own type).
   static CompilerOptions defaults();
 };
+
+/// The factory a configuration name selects (base, small, small_dim, safara,
+/// safara_clauses, pgi — the names safcc's --config, the golden files and the
+/// examples use), applied to `base`; nullopt for any other name.
+std::optional<CompilerOptions> named_config(std::string_view name,
+                                            CompilerOptions base = CompilerOptions::defaults());
+/// Every name named_config() accepts, in the order above.
+std::vector<std::string_view> config_names();
 
 /// Runtime-verifiable assertions a kernel's clauses made about its arrays.
 struct ClauseChecks {
@@ -166,11 +176,6 @@ class Compiler {
   CompiledProgram compile(const ast::Function& fn);
 
   const CompilerOptions& options() const { return opts_; }
-
-  /// Attaches (or detaches, with nullptr) the observability sink: every
-  /// subsequent compile emits per-pass spans and metrics into it.
-  void set_collector(obs::Collector* collector) { collector_ = collector; }
-  obs::Collector* collector() const { return collector_; }
 
  private:
   codegen::CodegenOptions codegen_options() const;

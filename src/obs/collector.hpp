@@ -115,9 +115,9 @@ class Collector {
   /// Snapshots the process-wide arena counters (support/arena.hpp) into the
   /// alloc.{arena_bytes_peak,arena_resets,heap_fallbacks} metrics and one
   /// wall-clock counter-track sample each, so traces show allocator behavior
-  /// alongside the pass timeline (`trace_check --require-counter
-  /// alloc.arena_bytes_peak` gates it in CI). Idempotent: repeated calls
-  /// re-publish the latest snapshot, they never double-count.
+  /// alongside the pass timeline (tests/test_obs.cpp requires the
+  /// alloc.arena_bytes_peak track). Idempotent: repeated calls re-publish
+  /// the latest snapshot, they never double-count.
   void record_alloc_stats();
 
  private:

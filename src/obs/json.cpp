@@ -1,7 +1,5 @@
 #include "obs/json.hpp"
 
-#include <cctype>
-#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -124,235 +122,6 @@ std::string Value::dump(int indent) const {
   std::string out;
   dump_to(out, indent, 0);
   return out;
-}
-
-// -- parser ---------------------------------------------------------------------
-
-namespace {
-
-class Parser {
- public:
-  Parser(std::string_view text, std::string* err) : text_(text), err_(err) {}
-
-  bool run(Value& out) {
-    skip_ws();
-    if (!parse_value(out)) return false;
-    skip_ws();
-    if (pos_ != text_.size()) return fail("trailing characters after JSON value");
-    return true;
-  }
-
- private:
-  bool fail(const std::string& msg) {
-    if (err_ && err_->empty()) {
-      *err_ = msg + " at byte " + std::to_string(pos_);
-    }
-    return false;
-  }
-
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t' || text_[pos_] == '\n' ||
-            text_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-
-  bool eat(char c) {
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  bool parse_value(Value& out) {
-    if (pos_ >= text_.size()) return fail("unexpected end of input");
-    char c = text_[pos_];
-    switch (c) {
-      case '{': return parse_object(out);
-      case '[': return parse_array(out);
-      case '"': {
-        std::string s;
-        if (!parse_string(s)) return false;
-        out = Value(std::move(s));
-        return true;
-      }
-      case 't':
-        if (text_.substr(pos_, 4) == "true") {
-          pos_ += 4;
-          out = Value(true);
-          return true;
-        }
-        return fail("invalid literal");
-      case 'f':
-        if (text_.substr(pos_, 5) == "false") {
-          pos_ += 5;
-          out = Value(false);
-          return true;
-        }
-        return fail("invalid literal");
-      case 'n':
-        if (text_.substr(pos_, 4) == "null") {
-          pos_ += 4;
-          out = Value();
-          return true;
-        }
-        return fail("invalid literal");
-      default: return parse_number(out);
-    }
-  }
-
-  bool parse_object(Value& out) {
-    ++pos_;  // '{'
-    out = Value::object();
-    skip_ws();
-    if (eat('}')) return true;
-    while (true) {
-      skip_ws();
-      std::string key;
-      if (!parse_string(key)) return fail("expected object key string");
-      skip_ws();
-      if (!eat(':')) return fail("expected ':' in object");
-      skip_ws();
-      Value v;
-      if (!parse_value(v)) return false;
-      out[key] = std::move(v);
-      skip_ws();
-      if (eat(',')) continue;
-      if (eat('}')) return true;
-      return fail("expected ',' or '}' in object");
-    }
-  }
-
-  bool parse_array(Value& out) {
-    ++pos_;  // '['
-    out = Value::array();
-    skip_ws();
-    if (eat(']')) return true;
-    while (true) {
-      skip_ws();
-      Value v;
-      if (!parse_value(v)) return false;
-      out.push_back(std::move(v));
-      skip_ws();
-      if (eat(',')) continue;
-      if (eat(']')) return true;
-      return fail("expected ',' or ']' in array");
-    }
-  }
-
-  bool parse_string(std::string& out) {
-    if (!eat('"')) return fail("expected '\"'");
-    while (pos_ < text_.size()) {
-      char c = text_[pos_++];
-      if (c == '"') return true;
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
-      if (pos_ >= text_.size()) return fail("unterminated escape");
-      char e = text_[pos_++];
-      switch (e) {
-        case '"': out += '"'; break;
-        case '\\': out += '\\'; break;
-        case '/': out += '/'; break;
-        case 'n': out += '\n'; break;
-        case 'r': out += '\r'; break;
-        case 't': out += '\t'; break;
-        case 'b': out += '\b'; break;
-        case 'f': out += '\f'; break;
-        case 'u': {
-          if (pos_ + 4 > text_.size()) return fail("truncated \\u escape");
-          unsigned code = 0;
-          for (int i = 0; i < 4; ++i) {
-            char h = text_[pos_++];
-            code <<= 4;
-            if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
-            else if (h >= 'a' && h <= 'f') code |= static_cast<unsigned>(h - 'a' + 10);
-            else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
-            else return fail("invalid \\u escape");
-          }
-          // Encode as UTF-8 (the emitters only produce ASCII escapes, but be
-          // a real parser about it). Surrogate pairs are passed through raw.
-          if (code < 0x80) {
-            out += static_cast<char>(code);
-          } else if (code < 0x800) {
-            out += static_cast<char>(0xC0 | (code >> 6));
-            out += static_cast<char>(0x80 | (code & 0x3F));
-          } else {
-            out += static_cast<char>(0xE0 | (code >> 12));
-            out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
-            out += static_cast<char>(0x80 | (code & 0x3F));
-          }
-          break;
-        }
-        default: return fail("unknown escape character");
-      }
-    }
-    return fail("unterminated string");
-  }
-
-  bool parse_number(Value& out) {
-    const std::size_t start = pos_;
-    if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
-    while (pos_ < text_.size() && std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-    bool is_int = true;
-    if (pos_ < text_.size() && text_[pos_] == '.') {
-      is_int = false;
-      ++pos_;
-      while (pos_ < text_.size() && std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-        ++pos_;
-      }
-    }
-    if (pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
-      is_int = false;
-      ++pos_;
-      if (pos_ < text_.size() && (text_[pos_] == '+' || text_[pos_] == '-')) ++pos_;
-      while (pos_ < text_.size() && std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-        ++pos_;
-      }
-    }
-    if (pos_ == start || (pos_ == start + 1 && text_[start] == '-')) {
-      return fail("invalid number");
-    }
-    std::string tok(text_.substr(start, pos_ - start));
-    if (is_int) {
-      errno = 0;
-      const std::int64_t i = std::strtoll(tok.c_str(), nullptr, 10);
-      if (errno != ERANGE) {
-        out = Value(i);
-        return true;
-      }
-      // Integer wider than i64: fall back to the nearest double (documented
-      // in json.hpp) rather than silently saturating to INT64_MIN/MAX.
-      is_int = false;
-    }
-    errno = 0;
-    const double d = std::strtod(tok.c_str(), nullptr);
-    if (errno == ERANGE && (d == HUGE_VAL || d == -HUGE_VAL)) {
-      // Overflow to infinity (e.g. "1e400") cannot round-trip: JSON has no
-      // Inf, so dump() would emit null. Reject instead of corrupting.
-      // Underflow (ERANGE with a denormal/zero result) keeps the rounded
-      // value, matching every mainstream JSON parser.
-      return fail("number out of range");
-    }
-    out = Value(d);
-    return true;
-  }
-
-  std::string_view text_;
-  std::string* err_;
-  std::size_t pos_ = 0;
-};
-
-}  // namespace
-
-bool Value::parse(std::string_view text, Value& out, std::string* err) {
-  if (err) err->clear();
-  return Parser(text, err).run(out);
 }
 
 }  // namespace safara::obs::json

@@ -1,11 +1,13 @@
-// A minimal self-contained JSON value: build, serialize, and parse.
+// A minimal self-contained JSON value: build and serialize.
 //
 // The observability layer emits machine-readable artifacts (Chrome traces,
-// metrics snapshots, benchmark results) and the test suite / CI checker must
-// round-trip them, so both directions live here. No external dependency; the
-// subset implemented is exactly what the emitters produce: null, bool,
-// number (with integers kept exact), string, array, object. Object keys keep
-// insertion order so emitted files are stable and diffable.
+// metrics snapshots, attribution profiles, benchmark rows) from this one
+// document model. There is no parser: the tests inspect the documents in
+// memory, and CI checks the emitted files with an independent parser
+// (Python's `json`). No external dependency; the subset implemented is
+// exactly what the emitters produce: null, bool, number (with integers kept
+// exact), string, array, object. Object keys keep insertion order so emitted
+// files are stable and diffable.
 #pragma once
 
 #include <cstdint>
@@ -36,14 +38,11 @@ class Value {
 
   Kind kind() const { return kind_; }
   bool is_null() const { return kind_ == Kind::kNull; }
-  bool is_bool() const { return kind_ == Kind::kBool; }
   bool is_number() const { return kind_ == Kind::kNumber; }
-  bool is_int() const { return kind_ == Kind::kNumber && is_int_; }
   bool is_string() const { return kind_ == Kind::kString; }
   bool is_array() const { return kind_ == Kind::kArray; }
   bool is_object() const { return kind_ == Kind::kObject; }
 
-  bool as_bool() const { return bool_; }
   double as_double() const { return is_int_ ? static_cast<double>(int_) : num_; }
   std::int64_t as_int() const { return is_int_ ? int_ : static_cast<std::int64_t>(num_); }
   const std::string& as_string() const { return str_; }
@@ -66,15 +65,6 @@ class Value {
 
   /// Serializes; `indent < 0` emits the compact single-line form.
   std::string dump(int indent = -1) const;
-
-  /// Parses `text` into `out`; on failure returns false and describes the
-  /// problem in `*err` (byte offset included) when `err` is non-null.
-  ///
-  /// Number range rules: integer tokens that fit int64 stay exact integers;
-  /// wider integer tokens fall back to the nearest double; tokens whose
-  /// value overflows double (e.g. "1e400") fail the parse, since Inf cannot
-  /// be re-serialized as JSON.
-  static bool parse(std::string_view text, Value& out, std::string* err = nullptr);
 
  private:
   void dump_to(std::string& out, int indent, int depth) const;

@@ -16,14 +16,14 @@
 //     share a register whenever the merged node stays trivially colorable.
 //   - When coloring fails, the cheapest-to-spill vreg is demoted and the
 //     whole graph is rebuilt (one vreg per round, deterministically: cost is
-//     access count weighted by 10^loop-depth and the optional per-pc profile
-//     weights, divided by interference degree, ties broken by lowest vreg
-//     index). Values whose every definition is a cheap pure constant
-//     (mov-immediate / special-register read) are preferred spill victims:
-//     they are flagged `remat` and the simulator recomputes them at ALU
-//     latency instead of reloading from local memory. A rematerialized vreg
-//     still counts as spilled everywhere else (slot bytes, static load/store
-//     counts), keeping the accounting identical across strategies.
+//     access count weighted by 10^loop-depth, divided by interference
+//     degree, ties broken by lowest vreg index). Values whose every
+//     definition is a cheap pure constant (mov-immediate / special-register
+//     read) are preferred spill victims: they are flagged `remat` and the
+//     simulator recomputes them at ALU latency instead of reloading from
+//     local memory. A rematerialized vreg still counts as spilled everywhere
+//     else (slot bytes, static load/store counts), keeping the accounting
+//     identical across strategies.
 #include "regalloc/regalloc.hpp"
 
 #include <algorithm>
@@ -176,8 +176,7 @@ AllocationResult allocate_color(const Kernel& kernel, const AllocatorOptions& op
   }
 
   // First/last occupied position per vreg (for spilled-range provenance) and
-  // the static spill-cost numerator: accesses weighted by loop depth and the
-  // optional per-pc profile weights.
+  // the static spill-cost numerator: accesses weighted by loop depth.
   const std::vector<int> depth = instruction_loop_depth(kernel);
   std::vector<std::int32_t> first_pos(nv, -1), last_pos(nv, -1);
   std::vector<double> access_cost(nv, 0.0);
@@ -187,13 +186,7 @@ AllocationResult allocate_color(const Kernel& kernel, const AllocatorOptions& op
   }
   for (std::int32_t i = 0; i < n; ++i) {
     const Instr& in = kernel.code[static_cast<std::size_t>(i)];
-    const double w =
-        opts.pc_weights.empty()
-            ? 1.0
-            : (static_cast<std::size_t>(i) < opts.pc_weights.size()
-                   ? std::max(opts.pc_weights[static_cast<std::size_t>(i)], 0.0)
-                   : 1.0);
-    const double mult = std::pow(10.0, depth[static_cast<std::size_t>(i)]) * w;
+    const double mult = std::pow(10.0, depth[static_cast<std::size_t>(i)]);
     auto touch = [&](std::uint32_t v) {
       if (kernel.vreg_types[v] == VType::kPred) return;
       access_cost[v] += mult;

@@ -116,10 +116,6 @@ struct AllocatorOptions {
   /// __launch_bounds__-style pressure and forces spilling.
   int max_registers = 255;
   Strategy strategy = Strategy::kColor;
-  /// Optional per-instruction spill-cost weights (index = instruction pc),
-  /// e.g. the per-pc cycle attribution from `--sim-profile`: accesses at
-  /// hot pcs make a vreg more expensive to spill. Empty = uniform weights.
-  std::vector<double> pc_weights;
   /// Spill backing store; anything but kLocal arms the post-allocation
   /// RegDem pass in the driver (the allocators themselves always lay out a
   /// local frame — RegDem rewrites the placement afterwards).

@@ -38,23 +38,15 @@ RegDemReport demote_spill_slots(const Kernel& kernel, AllocationResult& alloc,
   report.candidate_slots = static_cast<int>(candidates.size());
   if (candidates.empty()) return report;
 
-  // Access weight per vreg: profile-guided when pc_weights carries the
-  // simulator's cycle attribution, accesses x 10^loop_depth otherwise —
-  // the same notion of "hot" the coloring allocator spills by, so RegDem
-  // preferentially rescues exactly the slots the allocator was most
-  // reluctant to create.
+  // Access weight per vreg: accesses x 10^loop_depth — the same notion of
+  // "hot" the coloring allocator spills by, so RegDem preferentially rescues
+  // exactly the slots the allocator was most reluctant to create.
   const std::vector<int> depth = instruction_loop_depth(kernel);
   std::vector<double> weight(nv, 0.0);
   const std::int32_t n = static_cast<std::int32_t>(kernel.code.size());
   for (std::int32_t i = 0; i < n; ++i) {
     const Instr& in = kernel.code[static_cast<std::size_t>(i)];
-    const double w =
-        opts.pc_weights.empty()
-            ? 1.0
-            : (static_cast<std::size_t>(i) < opts.pc_weights.size()
-                   ? std::max(opts.pc_weights[static_cast<std::size_t>(i)], 0.0)
-                   : 1.0);
-    const double mult = std::pow(10.0, depth[static_cast<std::size_t>(i)]) * w;
+    const double mult = std::pow(10.0, depth[static_cast<std::size_t>(i)]);
     auto touch = [&](std::uint32_t v) {
       if (v < nv) weight[v] += mult;
     };

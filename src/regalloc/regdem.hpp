@@ -4,13 +4,13 @@
 // pass runs afterwards and redirects the hottest slots to the SM's shared
 // memory instead — a much cheaper backing store (vgpu::LatencyModel::
 // shared_mem vs local_mem), but one that draws on a per-block budget that
-// competes with occupancy. Slots are ranked by profiled access weight (the
-// per-pc cycle attribution in AllocatorOptions::pc_weights when present,
-// statically accesses x 10^loop_depth otherwise) and demoted hottest-first;
-// each admission re-runs vgpu::compute_occupancy with the candidate
-// per-block shared footprint and stops as soon as the footprint would lower
-// the kernel's resident-block count (SpillMem::kAuto) or make it
-// unlaunchable (SpillMem::kShared, which otherwise demotes everything).
+// competes with occupancy. Slots are ranked by static access weight
+// (accesses x 10^loop_depth, the coloring allocator's spill cost) and
+// demoted hottest-first; each admission re-runs vgpu::compute_occupancy
+// with the candidate per-block shared footprint and stops as soon as the
+// footprint would lower the kernel's resident-block count (SpillMem::kAuto)
+// or make it unlaunchable (SpillMem::kShared, which otherwise demotes
+// everything).
 //
 // The pass mutates the AllocationResult in place: demoted slots move into a
 // warp-interleaved shared frame (lane l of a slot at byte

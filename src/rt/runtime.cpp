@@ -163,7 +163,7 @@ vgpu::LaunchStats Runtime::launch(const vir::Kernel& kernel,
   vgpu::LaunchConfig cfg = configure(plan, args);
   std::vector<std::uint64_t> params = marshal_params(kernel, args);
   return vgpu::launch(kernel, alloc, dev_.spec(), dev_.memory(), params, cfg, collector,
-                      &launch_ctx_[&kernel], sim_);
+                      sim_);
 }
 
 }  // namespace safara::rt

@@ -4,7 +4,6 @@
 // kernels on the simulator.
 #pragma once
 
-#include <map>
 #include <span>
 #include <vector>
 
@@ -56,12 +55,6 @@ class Runtime {
 
   /// Marshals kernel parameters and launches on the simulator. A non-null
   /// `collector` receives the launch's trace span and simulator profile.
-  ///
-  /// The runtime keeps one vgpu::LaunchContext per kernel it has launched,
-  /// so the decoded-instruction tables survive across the time-step loops of
-  /// the paper's workloads (the caller's CompiledProgram must stay alive and
-  /// at a stable address while this Runtime exists — every harness already
-  /// does, since the program owns the kernels being launched).
   vgpu::LaunchStats launch(const vir::Kernel& kernel,
                            const regalloc::AllocationResult& alloc,
                            const codegen::LaunchPlan& plan, const ArgMap& args,
@@ -75,9 +68,6 @@ class Runtime {
 
   Device& dev_;
   vgpu::SimOptions sim_;
-  // Per-kernel decode caches. Never shared across threads: each eval_grid
-  // cell owns its Runtime, and a Runtime is not thread-safe to begin with.
-  std::map<const vir::Kernel*, vgpu::LaunchContext> launch_ctx_;
 };
 
 }  // namespace safara::rt

@@ -1837,28 +1837,10 @@ obs::json::Value LaunchStats::to_json() const {
   return v;
 }
 
-// The pimpl keeps DecodedKernel (an implementation detail of this file) out
-// of the public header while letting callers hold decoded state across
-// launches.
-struct LaunchContext::Impl {
-  DecodedKernel dk;
-  // Revalidation identity: rebuilt when any of these changes.
-  const Kernel* kernel = nullptr;
-  const regalloc::AllocationResult* alloc = nullptr;
-  const DeviceSpec* spec = nullptr;
-  bool super = false;
-  std::size_t code_size = 0;
-};
-
-LaunchContext::LaunchContext() = default;
-LaunchContext::~LaunchContext() = default;
-LaunchContext::LaunchContext(LaunchContext&&) noexcept = default;
-LaunchContext& LaunchContext::operator=(LaunchContext&&) noexcept = default;
-
 LaunchStats launch(const Kernel& kernel, const regalloc::AllocationResult& alloc,
                    const DeviceSpec& spec, DeviceMemory& mem,
                    const std::vector<std::uint64_t>& params, const LaunchConfig& cfg,
-                   obs::Collector* collector, LaunchContext* ctx, const SimOptions& sim) {
+                   obs::Collector* collector, const SimOptions& sim) {
   if (params.size() != kernel.params.size()) {
     throw std::runtime_error("launch: parameter count mismatch for kernel " + kernel.name);
   }
@@ -1891,36 +1873,7 @@ LaunchStats launch(const Kernel& kernel, const regalloc::AllocationResult& alloc
       collector ? &collector->begin_kernel_profile(kernel.name) : nullptr;
 
   const SimDispatch dispatch = sim.dispatch;
-  const bool want_super = dispatch == SimDispatch::kSuper;
-  // Decode (or reuse) the per-instruction side table and superblock
-  // partition. The decoded state is a pure function of the revalidation
-  // identity, so a context hit skips the rebuild entirely; the simulation
-  // below only ever reads it, keeping results bit-identical either way.
-  DecodedKernel local_dk;
-  const DecodedKernel* dk_ptr;
-  if (ctx) {
-    const bool stale = !ctx->impl_ || ctx->impl_->kernel != &kernel ||
-                       ctx->impl_->alloc != &alloc || ctx->impl_->spec != &spec ||
-                       ctx->impl_->super != want_super ||
-                       ctx->impl_->code_size != kernel.code.size();
-    if (stale) {
-      auto impl = std::make_unique<LaunchContext::Impl>();
-      impl->dk = decode(kernel, alloc, spec, want_super);
-      impl->kernel = &kernel;
-      impl->alloc = &alloc;
-      impl->spec = &spec;
-      impl->super = want_super;
-      impl->code_size = kernel.code.size();
-      ctx->impl_ = std::move(impl);
-    } else if (collector) {
-      collector->metrics.add("sim.decode_cache_hits");
-    }
-    dk_ptr = &ctx->impl_->dk;
-  } else {
-    local_dk = decode(kernel, alloc, spec, want_super);
-    dk_ptr = &local_dk;
-  }
-  const DecodedKernel& dk = *dk_ptr;
+  const DecodedKernel dk = decode(kernel, alloc, spec, dispatch == SimDispatch::kSuper);
 
   // Static round-robin distribution of blocks over SMs (documented
   // simplification); empty SMs are skipped, matching the seed loop.

@@ -18,7 +18,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string_view>
 
 #include "obs/collector.hpp"
@@ -143,8 +142,6 @@ struct SuperblockOpInfo {
 };
 SuperblockOpInfo superblock_op_info(vir::Opcode op, vir::VType type, const DeviceSpec& spec);
 
-class LaunchContext;
-
 /// Runs `kernel` to completion. `params` holds one raw 8-byte slot per kernel
 /// formal (already type-punned by the host runtime). Functional effects land
 /// in `mem`; the return value carries the timing statistics.
@@ -153,46 +150,9 @@ class LaunchContext;
 /// per-kernel, per-SM cycle/stall profile into it. Profiling is purely
 /// observational: cycle counts and functional results are identical with and
 /// without a collector attached — and identical for any `sim` options.
-///
-/// When `ctx` is non-null it caches the decoded-instruction side table and
-/// superblock partition across launches of the same (kernel, allocation,
-/// device, dispatch-engine) tuple; see LaunchContext.
 LaunchStats launch(const vir::Kernel& kernel, const regalloc::AllocationResult& alloc,
                    const DeviceSpec& spec, DeviceMemory& mem,
                    const std::vector<std::uint64_t>& params, const LaunchConfig& cfg,
-                   obs::Collector* collector = nullptr, LaunchContext* ctx = nullptr,
-                   const SimOptions& sim = {});
-
-/// Opaque per-kernel launch-state cache. Without one, every launch() re-runs
-/// decode(): the per-instruction side table and (under kSuper) the superblock
-/// partition are rebuilt from scratch — pure waste for the time-stepped
-/// workloads that launch the same compiled kernel hundreds of times. A
-/// LaunchContext owned by the caller keeps the decoded state alive across
-/// launches; it is revalidated against the kernel/allocation/device spec
-/// addresses, the code size, and the active dispatch engine, and silently
-/// rebuilt on any mismatch. Results are bit-identical with and without a
-/// context (tests/test_sim.cpp proves it at 1 and N sim threads).
-///
-/// The cached state is read-only during simulation, so a context may be used
-/// with any thread count — but one context must not be passed to two
-/// concurrent launch() calls, and the caller keying contexts by kernel must
-/// keep the kernel/allocation objects alive and at stable addresses for the
-/// context's lifetime (rt::Runtime does: per-cell Runtimes in eval_grid each
-/// own their contexts and their CompiledProgram outlives them).
-class LaunchContext {
- public:
-  LaunchContext();
-  ~LaunchContext();
-  LaunchContext(LaunchContext&&) noexcept;
-  LaunchContext& operator=(LaunchContext&&) noexcept;
-
- private:
-  friend LaunchStats launch(const vir::Kernel&, const regalloc::AllocationResult&,
-                            const DeviceSpec&, DeviceMemory&,
-                            const std::vector<std::uint64_t>&, const LaunchConfig&,
-                            obs::Collector*, LaunchContext*, const SimOptions&);
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
-};
+                   obs::Collector* collector = nullptr, const SimOptions& sim = {});
 
 }  // namespace safara::vgpu

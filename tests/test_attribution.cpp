@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "driver/compiler.hpp"
+#include "driver/sim_profile.hpp"
 #include "obs/collector.hpp"
 #include "tests_common.hpp"
 #include "vgpu/sim.hpp"
@@ -115,6 +116,38 @@ TEST(Attribution, PerLineRollupSumsToLaunchTotal) {
   for (const auto& [line, cyc] : line_cycles) line_total += cyc;
   EXPECT_EQ(line_total, total);
   EXPECT_GT(line_cycles.size(), 1u);
+
+  // The sim_profile/v1 document `safcc --sim-profile-out` writes carries the
+  // same partition, and the allocator's provenance rows, under either
+  // allocator.
+  auto expect_doc_consistent = [&](const driver::CompiledProgram& program,
+                                   const obs::Collector& collector) {
+    const obs::json::Value doc =
+        driver::sim_profile_doc(program, collector, w->name, "safara_clauses");
+    EXPECT_EQ(doc.find("schema")->as_string(), "safara.sim_profile/v1");
+    for (const obs::json::Value& k : doc.find("kernels")->items()) {
+      for (const obs::json::Value& row : k.find("code")->items()) {
+        EXPECT_TRUE(row.contains("pc") && row.contains("op") && row.contains("line"));
+      }
+      for (const obs::json::Value& r : k.find("ranges")->items()) {
+        EXPECT_TRUE(r.contains("vreg") && r.contains("start") && r.contains("end") &&
+                    r.contains("spill_slot"));
+      }
+    }
+    std::int64_t sum = 0;
+    for (const obs::json::Value& l : doc.find("lines")->items()) {
+      sum += l.find("cycles")->as_int();
+    }
+    EXPECT_EQ(sum, doc.find("total_cycles")->as_int());
+    EXPECT_GT(sum, 0);
+  };
+  expect_doc_consistent(prog, c);
+
+  SCOPED_TRACE("linear regalloc");
+  opts.regalloc.strategy = regalloc::Strategy::kLinear;
+  obs::Collector linear_c;
+  workloads::simulate(*w, opts, &linear_c);
+  expect_doc_consistent(driver::Compiler(opts).compile(w->source, w->function), linear_c);
 }
 
 TEST(Attribution, OccupancyTimelineIsOrderedAndBounded) {

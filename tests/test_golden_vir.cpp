@@ -11,6 +11,7 @@
 #include <cinttypes>
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -58,18 +59,6 @@ std::vector<Entry> parse_manifest() {
   return entries;
 }
 
-driver::CompilerOptions options_for(const std::string& config, bool* known) {
-  *known = true;
-  if (config == "base") return driver::CompilerOptions::openuh_base();
-  if (config == "small") return driver::CompilerOptions::openuh_small();
-  if (config == "small_dim") return driver::CompilerOptions::openuh_small_dim();
-  if (config == "safara") return driver::CompilerOptions::openuh_safara();
-  if (config == "safara_clauses") return driver::CompilerOptions::openuh_safara_clauses();
-  if (config == "pgi") return driver::CompilerOptions::pgi_like();
-  *known = false;
-  return {};
-}
-
 /// Points at the first line where the two dumps diverge, so a failure log
 /// localizes the change without printing both full dumps.
 std::string first_diff(const std::string& expected, const std::string& actual) {
@@ -113,11 +102,10 @@ TEST(GoldenVir, DumpsMatchSnapshots) {
     const std::string source =
         read_file(std::string(SAFARA_GOLDEN_DIR) + "/" + e.kernel + ".acc", &ok);
     ASSERT_TRUE(ok) << "missing source " << e.kernel << ".acc";
-    bool known = false;
-    driver::CompilerOptions opts = options_for(e.config, &known);
-    ASSERT_TRUE(known) << "unknown config '" << e.config << "' in MANIFEST";
-    opts.opt_level = e.opt_level;
-    driver::Compiler compiler(opts);
+    std::optional<driver::CompilerOptions> opts = driver::named_config(e.config);
+    ASSERT_TRUE(opts) << "unknown config '" << e.config << "' in MANIFEST";
+    opts->opt_level = e.opt_level;
+    driver::Compiler compiler(*opts);
     driver::CompiledProgram prog;
     ASSERT_NO_THROW(prog = compiler.compile(source, "")) << "compile failed";
     const std::string actual = driver::dump_vir(prog);
@@ -179,11 +167,10 @@ TEST(GoldenVir, FuzzDigestsMatch) {
     std::string config, expected;
     ASSERT_TRUE(static_cast<bool>(fields >> seed >> config >> expected)) << line;
     SCOPED_TRACE("seed " + std::to_string(seed) + " " + config);
-    bool known = false;
-    const driver::CompilerOptions opts = options_for(config, &known);
-    ASSERT_TRUE(known) << "unknown config '" << config << "' in fuzz_vir.digest";
+    const std::optional<driver::CompilerOptions> opts = driver::named_config(config);
+    ASSERT_TRUE(opts) << "unknown config '" << config << "' in fuzz_vir.digest";
     driver::CompiledProgram prog;
-    ASSERT_NO_THROW(prog = driver::Compiler(opts).compile(fuzz::generate_program(seed)));
+    ASSERT_NO_THROW(prog = driver::Compiler(*opts).compile(fuzz::generate_program(seed)));
     EXPECT_EQ(fnv1a_hex(driver::dump_vir(prog)), expected)
         << "if intentional: python3 tools/update_golden.py --bless";
     ++checked;
@@ -213,15 +200,21 @@ TEST(GoldenSimProfile, DigestsMatch) {
     SCOPED_TRACE(name + " " + config);
     const workloads::Workload* w = workloads::find_workload(name);
     ASSERT_NE(w, nullptr) << "unknown workload '" << name << "' in sim_profile.digest";
-    bool known = false;
-    const driver::CompilerOptions opts = options_for(config, &known);
-    ASSERT_TRUE(known) << "unknown config '" << config << "' in sim_profile.digest";
+    const std::optional<driver::CompilerOptions> opts = driver::named_config(config);
+    ASSERT_TRUE(opts) << "unknown config '" << config << "' in sim_profile.digest";
     obs::Collector collector;
-    workloads::simulate(*w, opts, &collector, {.threads = 1});
-    const driver::CompiledProgram prog = driver::Compiler(opts).compile(w->source, w->function);
-    const std::string doc = driver::sim_profile_doc(prog, collector, w->name, config).dump(2);
-    EXPECT_EQ(fnv1a_hex(doc + "\n"), expected)
+    workloads::simulate(*w, *opts, &collector, {.threads = 1});
+    const driver::CompiledProgram prog =
+        driver::Compiler(*opts).compile(w->source, w->function);
+    const obs::json::Value doc = driver::sim_profile_doc(prog, collector, w->name, config);
+    EXPECT_EQ(fnv1a_hex(doc.dump(2) + "\n"), expected)
         << "if intentional: python3 tools/update_golden.py --bless";
+    // The per-line rollup partitions the attributed cycles exactly.
+    std::int64_t line_cycles = 0;
+    for (const obs::json::Value& l : doc.find("lines")->items()) {
+      line_cycles += l.find("cycles")->as_int();
+    }
+    EXPECT_EQ(line_cycles, doc.find("total_cycles")->as_int());
     ++checked;
   }
   EXPECT_EQ(checked, 80);

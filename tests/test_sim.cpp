@@ -514,76 +514,6 @@ TEST(SimDeterminism, AllWorkloadsBitIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(SimDeterminism, DecodeCacheReuseBitIdenticalAcrossThreadCounts) {
-  // rt::Runtime keeps one vgpu::LaunchContext per kernel, so repeated
-  // launches reuse the decoded side table and superblock partition instead
-  // of re-running decode(). The cache is pure memoization: stats, profiles,
-  // and device memory must be bit-identical to cold-decoding every launch,
-  // at any sim thread count.
-  const char* src = R"(
-void f(int n, const float *x, float *y) {
-  #pragma acc parallel loop gang vector(64)
-  for (i = 0; i < n; i++) {
-    y[i] = x[i] * 2.0f + 1.0f;
-  }
-})";
-  driver::Compiler compiler(driver::CompilerOptions::openuh_base());
-  auto prog = compiler.compile(src);
-  ASSERT_EQ(prog.kernels.size(), 1u);
-  const driver::CompiledKernel& k = prog.kernels[0];
-  constexpr int kLaunches = 3;
-  constexpr std::int64_t kN = 200;
-
-  // Launches the kernel kLaunches times; with `reuse` one Runtime (and thus
-  // one cached LaunchContext) serves every launch, otherwise each launch
-  // gets a fresh Runtime and decodes from scratch.
-  auto launch_many = [&](bool reuse, int threads, obs::Collector* collector) {
-    rt::Device dev;
-    rt::Runtime setup(dev);
-    rt::Buffer xb = setup.alloc(ast::ScalarType::kF32, {{0, kN}});
-    rt::Buffer yb = setup.alloc(ast::ScalarType::kF32, {{0, kN}});
-    std::vector<float> host_x(kN);
-    for (std::int64_t i = 0; i < kN; ++i) host_x[static_cast<std::size_t>(i)] = 0.25f * static_cast<float>(i % 17);
-    dev.memory().copy_in(xb.device_addr, host_x.data(), host_x.size() * sizeof(float));
-    rt::ArgMap args;
-    args.emplace("n", rt::ScalarValue::of_i32(static_cast<std::int32_t>(kN)));
-    args.emplace("x", &xb);
-    args.emplace("y", &yb);
-    std::string stats;
-    rt::Runtime shared(dev, {.threads = threads});
-    for (int l = 0; l < kLaunches; ++l) {
-      rt::Runtime fresh(dev, {.threads = threads});
-      rt::Runtime& r = reuse ? shared : fresh;
-      stats += r.launch(k.kernel, k.alloc, k.plan, args, collector).to_json().dump(2);
-      stats += "\n";
-    }
-    std::vector<float> host_y(kN);
-    dev.memory().copy_out(yb.device_addr, host_y.data(), host_y.size() * sizeof(float));
-    return std::make_pair(stats, host_y);
-  };
-
-  const int hw = static_cast<int>(std::thread::hardware_concurrency());
-  std::string first_stats;
-  for (int threads : {1, std::max(4, hw)}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    obs::Collector cold_c, warm_c;
-    const auto cold = launch_many(/*reuse=*/false, threads, &cold_c);
-    const auto warm = launch_many(/*reuse=*/true, threads, &warm_c);
-    // The cache actually engaged: every launch after the first was a hit,
-    // and the cold path never hit.
-    EXPECT_EQ(warm_c.metrics.counter("sim.decode_cache_hits"), kLaunches - 1);
-    EXPECT_EQ(cold_c.metrics.counter("sim.decode_cache_hits"), 0);
-    // ...and changed nothing: stats and device memory are bit-identical.
-    EXPECT_EQ(cold.first, warm.first);
-    for (std::int64_t i = 0; i < kN; ++i) {
-      ASSERT_EQ(cold.second[static_cast<std::size_t>(i)], warm.second[static_cast<std::size_t>(i)]) << "y[" << i << "]";
-    }
-    // Bit-identical across thread counts too (1 vs wide).
-    if (first_stats.empty()) first_stats = warm.first;
-    EXPECT_EQ(first_stats, warm.first);
-  }
-}
-
 TEST(SimDeterminism, OverlappingWritesFallBackToSequential) {
   // Every thread writes y[0], so blocks on different SMs share a written
   // granule: the overlap checker must veto the parallel path and the launch

@@ -437,49 +437,6 @@ TEST(Regalloc, RematPrefersRecomputableValues) {
   }
 }
 
-TEST(Regalloc, ProfileWeightsSteerSpillChoice) {
-  // Two equally-referenced values under a cap that can only hold one of
-  // them alongside the rest: the one whose accesses sit at hot pcs (high
-  // pc_weights) must survive, the cold one spills.
-  KB b;
-  std::vector<std::uint32_t> regs;
-  for (int i = 0; i < 6; ++i) {
-    regs.push_back(b.reg(VType::kI32));
-    b.emit(Opcode::kMovImmI, VType::kI32, regs.back()).imm = i;
-  }
-  auto sink = b.reg(VType::kI32);
-  for (int i = 0; i + 1 < 6; ++i) {
-    b.emit(Opcode::kAdd, VType::kI32, sink, regs[static_cast<std::size_t>(i)],
-           regs[static_cast<std::size_t>(i + 1)]);
-  }
-  b.emit(Opcode::kExit, VType::kI32);
-
-  regalloc::AllocatorOptions opts;
-  opts.strategy = regalloc::Strategy::kColor;
-  opts.max_registers = 5;
-  auto cold = regalloc::allocate(b.k, opts);
-  ASSERT_TRUE(cold.any_spills());
-  std::uint32_t cold_victim = kNoReg;
-  for (std::uint32_t v = 0; v < b.k.num_vregs(); ++v) {
-    if (cold.spilled[v]) cold_victim = v;
-  }
-  ASSERT_NE(cold_victim, kNoReg);
-
-  // Make every access of the unweighted victim's pcs scorching hot: the
-  // allocator must now pick a different (cheaper) victim.
-  opts.pc_weights.assign(b.k.code.size(), 1.0);
-  for (std::size_t pc = 0; pc < b.k.code.size(); ++pc) {
-    const Instr& in = b.k.code[pc];
-    bool touches = has_dst(in.op) && in.dst == cold_victim;
-    for_each_use(in, [&](std::uint32_t u) { touches = touches || u == cold_victim; });
-    if (touches) opts.pc_weights[pc] = 1000.0;
-  }
-  auto hot = regalloc::allocate(b.k, opts);
-  ASSERT_TRUE(hot.any_spills());
-  EXPECT_FALSE(hot.spilled[cold_victim])
-      << "profile-hot value was still chosen as the spill victim";
-}
-
 TEST(Regalloc, PtxasInfoFormat) {
   KB b;
   auto r = b.reg(VType::kI32);

@@ -477,18 +477,17 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  using Opts = driver::CompilerOptions;
-  Opts opts;
-  if (config == "base") opts = Opts::openuh_base(run.compiler);
-  else if (config == "small") opts = Opts::openuh_small(run.compiler);
-  else if (config == "small_dim") opts = Opts::openuh_small_dim(run.compiler);
-  else if (config == "safara") opts = Opts::openuh_safara(run.compiler);
-  else if (config == "safara_clauses") opts = Opts::openuh_safara_clauses(run.compiler);
-  else if (config == "pgi") opts = Opts::pgi_like(run.compiler);
-  else {
+  std::optional<driver::CompilerOptions> named = driver::named_config(config, run.compiler);
+  if (!named) {
     std::fprintf(stderr, "safcc: unknown config '%s'\n", config.c_str());
+    std::fprintf(stderr, "       available:");
+    for (std::string_view name : driver::config_names()) {
+      std::fprintf(stderr, " %.*s", static_cast<int>(name.size()), name.data());
+    }
+    std::fprintf(stderr, "\n");
     return 2;
   }
+  driver::CompilerOptions opts = std::move(*named);
   if (unroll > 1) {
     opts.enable_unroll = true;
     opts.unroll.factor = unroll;
