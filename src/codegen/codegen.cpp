@@ -683,12 +683,19 @@ class KernelBuilder {
         gen_block(s.as<BlockStmt>());
         break;
       case StmtKind::kDecl: {
+        // A declaration without an initializer zeroes its slot each time it
+        // runs, as the CPU reference does: inside a loop the slot must not
+        // carry the previous iteration's value.
         const auto& d = s.as<DeclStmt>();
-        std::uint32_t slot = var_slot(d.symbol, vtype_of(d.decl_type));
+        const VType t = vtype_of(d.decl_type);
+        std::uint32_t slot = var_slot(d.symbol, t);
+        std::uint32_t v;
         if (d.init) {
-          std::uint32_t v = coerce(gen_value(*d.init), vtype_of(d.decl_type));
-          store_slot(slot, v);
+          v = coerce(gen_value(*d.init), t);
+        } else {
+          v = ast::is_float(d.decl_type) ? imm_f(0.0, t) : imm_i(0, t);
         }
+        store_slot(slot, v);
         break;
       }
       case StmtKind::kAssign:

@@ -18,6 +18,7 @@
 #include "support/string_util.hpp"
 #include "support/thread_pool.hpp"
 #include "vgpu/cache.hpp"
+#include "vir/cfg.hpp"
 #include "vir/liveness.hpp"
 
 namespace safara::vgpu {
@@ -245,13 +246,6 @@ struct Warp {
   // superblock and is replaying its issue slots one micro-op per cycle.
   std::int32_t sb_next = -1;
   std::int32_t sb_end = 0;
-  // Conservative superset of this warp's in-flight destination registers,
-  // folded to 64 bits (bit r & 63); pending_until is the high-water mark of
-  // every reg_ready ever written, so `cycle >= pending_until` proves the mask
-  // can be cleared. Stale bits only cause a fallback to per-instruction
-  // stepping, never a wrong result.
-  std::uint64_t pending_mask = 0;
-  std::int64_t pending_until = 0;
 };
 
 // The warp scheduler's masks are one 64-bit word, bit i naming the i-th
@@ -316,8 +310,6 @@ struct DecodedInstr {
 struct MicroOp {
   std::uint32_t dst = vir::kNoReg;
   std::int32_t latency = 0;        // static result latency incl. spill costs
-  std::uint32_t internal[3] = {0, 0, 0};  // operands produced earlier in-block
-  std::uint8_t n_internal = 0;
   std::uint8_t dst_from_mem = 0;   // spilled dst: result arrives from local mem
 };
 
@@ -328,37 +320,34 @@ struct MicroOp {
 struct Superblock {
   std::int32_t begin = 0;
   std::int32_t end = 0;
-  std::uint64_t read_mask = 0;   // upward-exposed external reads, bit r & 63
-  std::uint64_t write_mask = 0;  // every register the block writes, bit r & 63
   std::uint32_t spill_accesses = 0;  // aggregate spill traffic of the block
   std::uint32_t shared_accesses = 0;   // subset served by shared memory
   std::uint32_t shared_conflicts = 0;  // extra bank-serialized transactions
-  // Unique upward-exposed read registers, as [ext_begin, ext_end) into
-  // DecodedKernel::ext_pool — the precise readiness check used when the
-  // pending mask is stale or aliased.
-  std::uint32_t ext_begin = 0;
-  std::uint32_t ext_end = 0;
 };
 
 struct DecodedKernel {
   std::vector<DecodedInstr> code;
   bool has_atomics = false;
+  /// The registers live into the kernel's entry block: the only ones a lane
+  /// can read before writing them, so the only ones a pooled warp's register
+  /// file must zero when admit_block reuses it.
+  std::vector<std::uint32_t> entry_live;
 
   // Superblock tables (built only under SimDispatch::kSuper).
   bool super = false;
   std::vector<MicroOp> micro;          // parallel to code; valid inside blocks
   std::vector<Superblock> blocks;
   std::vector<std::int32_t> block_of;  // pc -> block index if block head, else -1
-  std::vector<std::uint32_t> ext_pool;  // Superblock::ext_begin/ext_end storage
+  /// %tid.{x,y,z} of every thread slot of a block, for the bulk executor:
+  /// tid[d * tid_stride + w * 32 + l] is dimension d of lane l of warp w.
+  std::vector<std::uint64_t> tid;
+  std::size_t tid_stride = 0;
 };
 
 void build_superblocks(const Kernel& k, const DeviceSpec& spec, DecodedKernel& dk) {
   const std::size_t n = k.code.size();
   dk.micro.assign(n, MicroOp{});
   dk.block_of.assign(n, -1);
-  // Each pc contributes at most one ext_pool entry (per-block dedup), so n
-  // bounds the pool: reserve once instead of growing through the loop below.
-  dk.ext_pool.reserve(n);
 
   std::vector<std::uint8_t> barrier(n, 0);  // terminator or label target
   for (std::size_t pc = 0; pc < n; ++pc) {
@@ -369,10 +358,6 @@ void build_superblocks(const Kernel& k, const DeviceSpec& spec, DecodedKernel& d
     if (t >= 0 && static_cast<std::size_t>(t) < n) is_head_barrier[static_cast<std::size_t>(t)] = 1;
   }
 
-  // Generation-stamped "written / read earlier in this block" scratch.
-  std::vector<std::int32_t> written_gen(k.num_vregs(), -1);
-  std::vector<std::int32_t> ext_gen(k.num_vregs(), -1);
-
   std::size_t i = 0;
   while (i < n) {
     if (barrier[i]) {
@@ -381,59 +366,57 @@ void build_superblocks(const Kernel& k, const DeviceSpec& spec, DecodedKernel& d
     }
     std::size_t j = i + 1;
     while (j < n && !is_head_barrier[j]) ++j;
-    if (j - i >= 2) {
-      const std::int32_t gen = static_cast<std::int32_t>(dk.blocks.size());
-      Superblock b;
-      b.begin = static_cast<std::int32_t>(i);
-      b.end = static_cast<std::int32_t>(j);
-      b.ext_begin = static_cast<std::uint32_t>(dk.ext_pool.size());
-      for (std::size_t pc = i; pc < j; ++pc) {
-        const Instr& in = k.code[pc];
-        const DecodedInstr& d = dk.code[pc];
-        MicroOp m;
-        for (std::uint8_t u = 0; u < d.num_uses; ++u) {
-          const std::uint32_t r = d.uses[u];
-          if (written_gen[r] == gen) {
-            m.internal[m.n_internal++] = r;
-          } else {
-            b.read_mask |= 1ull << (r & 63);
-            if (ext_gen[r] != gen) {
-              ext_gen[r] = gen;
-              dk.ext_pool.push_back(r);
-            }
+    Superblock b;
+    b.begin = static_cast<std::int32_t>(i);
+    b.end = static_cast<std::int32_t>(j);
+    for (std::size_t pc = i; pc < j; ++pc) {
+      const Instr& in = k.code[pc];
+      const DecodedInstr& d = dk.code[pc];
+      MicroOp m;
+      b.spill_accesses += d.spill_uses;
+      b.shared_accesses += d.shared_uses;
+      b.shared_conflicts += d.shared_conflicts;
+      m.latency = d.exec_latency + d.spill_extra;
+      if (d.writes_dst) {
+        m.dst = in.dst;
+        if (d.dst_spilled) {
+          m.latency += d.dst_spill_latency;
+          m.dst_from_mem = 1;
+          ++b.spill_accesses;
+          if (d.dst_shared) {
+            ++b.shared_accesses;
+            b.shared_conflicts += d.dst_shared_conflicts;
           }
         }
-        b.spill_accesses += d.spill_uses;
-        b.shared_accesses += d.shared_uses;
-        b.shared_conflicts += d.shared_conflicts;
-        m.latency = d.exec_latency + d.spill_extra;
-        if (d.writes_dst) {
-          m.dst = in.dst;
-          if (d.dst_spilled) {
-            m.latency += d.dst_spill_latency;
-            m.dst_from_mem = 1;
-            ++b.spill_accesses;
-            if (d.dst_shared) {
-              ++b.shared_accesses;
-              b.shared_conflicts += d.dst_shared_conflicts;
-            }
-          }
-          written_gen[in.dst] = gen;
-          b.write_mask |= 1ull << (in.dst & 63);
-        }
-        dk.micro[pc] = m;
       }
-      b.ext_end = static_cast<std::uint32_t>(dk.ext_pool.size());
-      dk.block_of[i] = gen;
-      dk.blocks.push_back(b);
+      dk.micro[pc] = m;
     }
+    dk.block_of[i] = static_cast<std::int32_t>(dk.blocks.size());
+    dk.blocks.push_back(b);
     i = j;
   }
   dk.super = !dk.blocks.empty();
 }
 
+/// Fills dk.tid with the %tid.{x,y,z} values special_value() derives per lane.
+void build_tid_table(const LaunchConfig& cfg, const DeviceSpec& spec, DecodedKernel& dk) {
+  const int threads = cfg.threads_per_block();
+  const int nwarps = (threads + spec.warp_size - 1) / spec.warp_size;
+  dk.tid_stride = static_cast<std::size_t>(nwarps) * 32;
+  dk.tid.assign(3 * dk.tid_stride, 0);
+  for (int w = 0; w < nwarps; ++w) {
+    for (int l = 0; l < 32; ++l) {
+      const int t = w * spec.warp_size + l;
+      const std::size_t slot = static_cast<std::size_t>(w) * 32 + static_cast<std::size_t>(l);
+      dk.tid[slot] = from_i32(t % cfg.block[0]);
+      dk.tid[dk.tid_stride + slot] = from_i32((t / cfg.block[0]) % cfg.block[1]);
+      dk.tid[2 * dk.tid_stride + slot] = from_i32(t / (cfg.block[0] * cfg.block[1]));
+    }
+  }
+}
+
 DecodedKernel decode(const Kernel& k, const regalloc::AllocationResult& alloc,
-                     const DeviceSpec& spec, bool build_super) {
+                     const DeviceSpec& spec, const LaunchConfig& cfg, bool build_super) {
   const LatencyModel& lat = spec.lat;
   DecodedKernel dk;
   dk.code.reserve(k.code.size());
@@ -494,7 +477,14 @@ DecodedKernel decode(const Kernel& k, const regalloc::AllocationResult& alloc,
     if (in.op == Opcode::kAtomAdd) dk.has_atomics = true;
     dk.code.push_back(d);
   }
-  if (build_super) build_superblocks(k, spec, dk);
+  const vir::BlockLiveness live = vir::compute_block_liveness(k, vir::build_cfg(k));
+  for (std::uint32_t r = 0; r < k.num_vregs(); ++r) {
+    if (live.live_in_at(0, r)) dk.entry_live.push_back(r);
+  }
+  if (build_super) {
+    build_superblocks(k, spec, dk);
+    build_tid_table(cfg, spec, dk);
+  }
   return dk;
 }
 
@@ -675,8 +665,10 @@ class SmSimulator {
 
     for (int wi = 0; wi < nwarps; ++wi) {
       // Retired warps park in a free list; re-admitting reuses their
-      // register-file / scoreboard storage (the assigns below overwrite
-      // every element) instead of reallocating per block.
+      // register-file / scoreboard storage instead of reallocating per block.
+      // A pooled register file zeroes only the entry-live registers: a lane
+      // writes every other register before reading it, on every path it can
+      // take, so the previous block's values there are never observed.
       std::unique_ptr<Warp> w;
       if (!warp_pool_.empty()) {
         w = std::move(warp_pool_.back());
@@ -687,17 +679,18 @@ class SmSimulator {
         w->stack.clear();
         w->sb_next = -1;
         w->sb_end = 0;
-        w->pending_mask = 0;
-        w->pending_until = 0;
+        for (std::uint32_t r : dk_.entry_live) {
+          std::fill_n(&w->regs[static_cast<std::size_t>(r) * 32], 32, std::uint64_t{0});
+        }
       } else {
         w = std::make_unique<Warp>();
+        w->regs.assign(static_cast<std::size_t>(k_.num_vregs()) * 32, 0);
       }
       w->block_index = block_index;
       w->warp_in_block = wi;
       const int first_thread = wi * spec_.warp_size;
       const int lanes = std::min(spec_.warp_size, threads - first_thread);
       w->active = lanes == 32 ? 0xffffffffu : ((1u << lanes) - 1);
-      w->regs.assign(static_cast<std::size_t>(k_.num_vregs()) * 32, 0);
       w->reg_ready.assign(k_.num_vregs(), 0);
       if (prof_) w->reg_from_mem.assign(k_.num_vregs(), 0);
       w->ready_cycle = cycle_;
@@ -840,22 +833,6 @@ class SmSimulator {
       return false;
     }
 
-    // Superblock dispatch: if the pc heads a block whose external reads and
-    // writes are all retired, execute the whole block functionally now and
-    // switch the warp into drain mode. A failed mask test (including aliasing
-    // false positives) just falls through to the per-instruction reference
-    // path, which is always correct.
-    if (dk_.super) {
-      const std::int32_t bi = dk_.block_of[static_cast<std::size_t>(w.pc)];
-      if (bi >= 0) {
-        const Superblock& b = dk_.blocks[static_cast<std::size_t>(bi)];
-        if (block_ready(w, b)) {
-          enter_block(w, b);
-          return true;
-        }
-      }
-    }
-
     const Instr& in = k_.code[static_cast<std::size_t>(w.pc)];
     const DecodedInstr& d = dk_.code[static_cast<std::size_t>(w.pc)];
 
@@ -877,6 +854,17 @@ class SmSimulator {
                             : kWaitScoreboard;
       }
       return false;
+    }
+
+    // Superblock dispatch: a ready head executes its whole block functionally
+    // now and switches the warp into drain mode, which replays the block's
+    // issue cycles, operand stalls included.
+    if (dk_.super) {
+      const std::int32_t bi = dk_.block_of[static_cast<std::size_t>(w.pc)];
+      if (bi >= 0) {
+        enter_block(w, dk_.blocks[static_cast<std::size_t>(bi)]);
+        return true;
+      }
     }
 
     // Spill traffic: reads of spilled vregs are local- or shared-memory loads.
@@ -902,10 +890,7 @@ class SmSimulator {
         }
         mem_result = true;  // the result arrives from spill memory
       }
-      const std::int64_t t = cycle_ + latency;
-      w.reg_ready[in.dst] = t;
-      w.pending_mask |= 1ull << (in.dst & 63);
-      if (t > w.pending_until) w.pending_until = t;
+      w.reg_ready[in.dst] = cycle_ + latency;
       if (prof_) w.reg_from_mem[in.dst] = mem_result ? 1 : 0;
     }
     w.ready_cycle = cycle_ + 1;
@@ -915,33 +900,12 @@ class SmSimulator {
 
   // -- superblock dispatch ------------------------------------------------------
 
-  /// Block-entry readiness. Fast accept: once every write this warp ever
-  /// issued has retired (`pending_until` watermark) the pending mask is
-  /// provably clearable; otherwise two bitmask AND tests prove no in-flight
-  /// destination aliases a register the block reads or writes. When the mask
-  /// is stale or aliased, fall back to the precise bounded check — only the
-  /// upward-exposed external reads are correctness-relevant (an in-flight
-  /// write the block overwrites follows the same WAW-overwrite rule as the
-  /// reference interpreter, and register values are published at issue time
-  /// in both engines).
-  bool block_ready(Warp& w, const Superblock& b) {
-    if (cycle_ >= w.pending_until) {
-      w.pending_mask = 0;
-      return true;
-    }
-    if ((w.pending_mask & b.read_mask) == 0 && (w.pending_mask & b.write_mask) == 0) {
-      return true;
-    }
-    for (std::uint32_t e = b.ext_begin; e < b.ext_end; ++e) {
-      if (w.reg_ready[dk_.ext_pool[e]] > cycle_) return false;
-    }
-    return true;
-  }
-
-  /// Retires a ready superblock in one dispatch: all functional effects happen
-  /// now (register values are warp-private and the active mask cannot change
-  /// inside a block, so they are timing-independent), and the per-cycle issue
-  /// slots are replayed from the micro-op table by drain_issue.
+  /// Retires a superblock whose head is ready in one dispatch: all functional
+  /// effects happen now, and the per-cycle issue slots are replayed from the
+  /// micro-op table by drain_issue. The values are timing-independent:
+  /// registers are warp-private, the active mask cannot change inside a
+  /// block, and both engines publish a register's value when its producer
+  /// issues, so an operand still in flight already holds its final value.
   void enter_block(Warp& w, const Superblock& b) {
     bulk_execute(w, b);
     stats_.warp_instructions += static_cast<std::uint64_t>(b.end - b.begin);
@@ -956,19 +920,16 @@ class SmSimulator {
   }
 
   /// Issues one already-executed micro-op: publish its destination latency,
-  /// then compute when the next in-block instruction can issue. Only internal
-  /// dependences can block it — every external read was proven retired by the
-  /// entry mask test and this warp issues nothing else while draining — and
-  /// the strict-max scan over operands in a/b/c order reproduces the reference
-  /// interpreter's blocking-register selection exactly.
+  /// then compute when the next in-block instruction can issue. Every operand
+  /// of it can block, whether produced inside the block or before it; the
+  /// strict-max scan over its operands in a/b/c order is step()'s scoreboard
+  /// check, so the issue cycle and the blocking register are the reference
+  /// interpreter's.
   void drain_issue(Warp& w) {
     if (prof_) last_issue_pc_ = w.sb_next;
     const MicroOp& m = dk_.micro[static_cast<std::size_t>(w.sb_next)];
     if (m.dst != vir::kNoReg) {
-      const std::int64_t t = cycle_ + m.latency;
-      w.reg_ready[m.dst] = t;
-      w.pending_mask |= 1ull << (m.dst & 63);
-      if (t > w.pending_until) w.pending_until = t;
+      w.reg_ready[m.dst] = cycle_ + m.latency;
       if (prof_) w.reg_from_mem[m.dst] = m.dst_from_mem;
     }
     if (++w.sb_next == w.sb_end) {
@@ -977,11 +938,11 @@ class SmSimulator {
       if (prof_) w.wait_reason = kWaitPipeline;
       return;
     }
-    const MicroOp& next = dk_.micro[static_cast<std::size_t>(w.sb_next)];
+    const DecodedInstr& next = dk_.code[static_cast<std::size_t>(w.sb_next)];
     std::int64_t ready = cycle_ + 1;
     std::uint32_t blocking_reg = vir::kNoReg;
-    for (std::uint8_t u = 0; u < next.n_internal; ++u) {
-      const std::uint32_t r = next.internal[u];
+    for (std::uint8_t u = 0; u < next.num_uses; ++u) {
+      const std::uint32_t r = next.uses[u];
       if (w.reg_ready[r] > ready) {
         ready = w.reg_ready[r];
         blocking_reg = r;
@@ -1162,6 +1123,54 @@ class SmSimulator {
     }
   }
 
+  /// Conversion lane loops for one source kind: `as` reads the source the way
+  /// convert() does (a double for float sources, an int64 for integer and
+  /// predicate sources), and each destination uses convert()'s expression.
+  template <typename As>
+  static void convert_lanes(VType to, std::uint32_t m, std::uint64_t* dst,
+                            const std::uint64_t* a, As as) {
+    switch (to) {
+      case VType::kI32:
+        for_lanes(m, [&](int l) { dst[l] = from_i32(static_cast<std::int32_t>(as(a[l]))); });
+        return;
+      case VType::kI64:
+        for_lanes(m, [&](int l) { dst[l] = from_i64(static_cast<std::int64_t>(as(a[l]))); });
+        return;
+      case VType::kF32:
+        for_lanes(m, [&](int l) { dst[l] = from_f32(static_cast<float>(as(a[l]))); });
+        return;
+      case VType::kF64:
+        for_lanes(m, [&](int l) { dst[l] = from_f64(static_cast<double>(as(a[l]))); });
+        return;
+      case VType::kPred:
+        for_lanes(m, [&](int l) { dst[l] = as(a[l]) != 0 ? 1 : 0; });
+        return;
+    }
+  }
+
+  /// convert() over the active lanes, with the (to, from) dispatch hoisted
+  /// out of the lane loop.
+  static void bulk_convert(VType to, VType from, std::uint32_t m, std::uint64_t* dst,
+                           const std::uint64_t* a) {
+    switch (from) {
+      case VType::kF32:
+        convert_lanes(to, m, dst, a, [](std::uint64_t v) -> double { return as_f32(v); });
+        return;
+      case VType::kF64:
+        convert_lanes(to, m, dst, a, [](std::uint64_t v) { return as_f64(v); });
+        return;
+      case VType::kI32:
+        convert_lanes(to, m, dst, a, [](std::uint64_t v) -> std::int64_t { return as_i32(v); });
+        return;
+      case VType::kI64:
+        convert_lanes(to, m, dst, a, [](std::uint64_t v) { return as_i64(v); });
+        return;
+      case VType::kPred:
+        convert_lanes(to, m, dst, a, [](std::uint64_t v) -> std::int64_t { return v & 1; });
+        return;
+    }
+  }
+
   /// Executes every instruction of a superblock functionally, in program
   /// order. Safe at block-entry time: the registers are warp-private, the
   /// active mask cannot change inside a block (no control flow), and no
@@ -1172,38 +1181,32 @@ class SmSimulator {
     for (std::int32_t pc = b.begin; pc < b.end; ++pc) {
       const Instr& in = k_.code[static_cast<std::size_t>(pc)];
       std::uint64_t* dst = &w.regs[static_cast<std::size_t>(in.dst) * 32];
+      auto broadcast = [&](std::uint64_t v) {
+        if (full) {
+          for (int l = 0; l < 32; ++l) dst[l] = v;
+        } else {
+          for_active(w, [&](int lane) { dst[lane] = v; });
+        }
+      };
+      auto copy = [&](const std::uint64_t* a) {
+        if (full) {
+          std::memcpy(dst, a, 32 * sizeof(std::uint64_t));
+        } else {
+          for_active(w, [&](int lane) { dst[lane] = a[lane]; });
+        }
+      };
       switch (in.op) {
-        case Opcode::kMovImmI: {
-          const std::uint64_t v = in.type == VType::kI32
-                                      ? from_i32(static_cast<std::int32_t>(in.imm))
-                                      : from_i64(in.imm);
-          if (full) {
-            for (int l = 0; l < 32; ++l) dst[l] = v;
-          } else {
-            for_active(w, [&](int lane) { dst[lane] = v; });
-          }
+        case Opcode::kMovImmI:
+          broadcast(in.type == VType::kI32 ? from_i32(static_cast<std::int32_t>(in.imm))
+                                           : from_i64(in.imm));
           break;
-        }
-        case Opcode::kMovImmF: {
-          const std::uint64_t v = in.type == VType::kF32
-                                      ? from_f32(static_cast<float>(in.fimm))
-                                      : from_f64(in.fimm);
-          if (full) {
-            for (int l = 0; l < 32; ++l) dst[l] = v;
-          } else {
-            for_active(w, [&](int lane) { dst[lane] = v; });
-          }
+        case Opcode::kMovImmF:
+          broadcast(in.type == VType::kF32 ? from_f32(static_cast<float>(in.fimm))
+                                           : from_f64(in.fimm));
           break;
-        }
-        case Opcode::kMov: {
-          const std::uint64_t* a = &w.regs[static_cast<std::size_t>(in.a) * 32];
-          if (full) {
-            std::memcpy(dst, a, 32 * sizeof(std::uint64_t));
-          } else {
-            for_active(w, [&](int lane) { dst[lane] = a[lane]; });
-          }
+        case Opcode::kMov:
+          copy(&w.regs[static_cast<std::size_t>(in.a) * 32]);
           break;
-        }
         case Opcode::kAdd:
         case Opcode::kSub:
         case Opcode::kMul:
@@ -1270,27 +1273,24 @@ class SmSimulator {
           for_lanes(w.active, [&](int lane) { dst[lane] = (c[lane] & 1) ? a[lane] : bb[lane]; });
           break;
         }
-        case Opcode::kCvt: {
-          const std::uint64_t* a = &w.regs[static_cast<std::size_t>(in.a) * 32];
-          const VType from = k_.vreg_types[in.a];
-          for_lanes(w.active, [&](int lane) { dst[lane] = convert(in.type, from, a[lane]); });
+        case Opcode::kCvt:
+          bulk_convert(in.type, k_.vreg_types[in.a], w.active, dst,
+                       &w.regs[static_cast<std::size_t>(in.a) * 32]);
           break;
-        }
-        case Opcode::kLdParam: {
-          const std::uint64_t v = params_[static_cast<std::size_t>(in.imm)];
-          if (full) {
-            for (int l = 0; l < 32; ++l) dst[l] = v;
-          } else {
-            for_active(w, [&](int lane) { dst[lane] = v; });
-          }
+        case Opcode::kLdParam:
+          broadcast(params_[static_cast<std::size_t>(in.imm)]);
           break;
-        }
         case Opcode::kMovSpecial: {
+          // %tid varies by lane and comes from the per-launch table; every
+          // other special register is uniform across the warp.
           const int code = static_cast<int>(in.imm);
-          const ResidentBlock& rb = blocks_[static_cast<std::size_t>(w.block_index)];
-          for_active(w, [&](int lane) {
-            dst[lane] = special_value(code, rb, cfg_, spec_, w.warp_in_block, lane);
-          });
+          if (code <= static_cast<int>(SpecialReg::kTidZ)) {
+            copy(&dk_.tid[static_cast<std::size_t>(code) * dk_.tid_stride +
+                          static_cast<std::size_t>(w.warp_in_block) * 32]);
+          } else {
+            broadcast(special_value(code, blocks_[static_cast<std::size_t>(w.block_index)], cfg_,
+                                    spec_, w.warp_in_block, 0));
+          }
           break;
         }
         default:
@@ -1873,7 +1873,7 @@ LaunchStats launch(const Kernel& kernel, const regalloc::AllocationResult& alloc
       collector ? &collector->begin_kernel_profile(kernel.name) : nullptr;
 
   const SimDispatch dispatch = sim.dispatch;
-  const DecodedKernel dk = decode(kernel, alloc, spec, dispatch == SimDispatch::kSuper);
+  const DecodedKernel dk = decode(kernel, alloc, spec, cfg, dispatch == SimDispatch::kSuper);
 
   // Static round-robin distribution of blocks over SMs (documented
   // simplification); empty SMs are skipped, matching the seed loop.

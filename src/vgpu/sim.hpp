@@ -89,14 +89,16 @@ int sim_threads();
 // The interpreter has two dispatch engines that are required to produce
 // bit-identical LaunchStats, per-SM profiles, and functional results:
 //
-//  - kSuper (default): at decode time the instruction stream is partitioned
-//    into straight-line superblocks (broken at memory ops, atomics, control
-//    flow, and every label target); a ready block executes functionally in one
-//    bulk dispatch and its issue slots drain cycle-exactly from a precomputed
-//    micro-op table. Block readiness is two 64-bit bitmask AND tests instead
-//    of a per-instruction scoreboard walk.
+//  - kSuper (default): at decode time every run of one or more fusable
+//    instructions becomes a straight-line superblock (runs break at memory
+//    ops, atomics, control flow, and every label target). When a block's head
+//    passes the ordinary scoreboard check, the whole block executes
+//    functionally in one bulk dispatch and its issue slots drain
+//    cycle-exactly from a precomputed micro-op table, each one waiting on its
+//    own operands as the per-instruction path would. Only memory ops, atomics
+//    and control flow take the per-instruction path.
 //  - kRef: the original per-instruction interpreter, kept as the reference
-//    semantics (and the fallback whenever a block is not provably ready).
+//    semantics.
 
 enum class SimDispatch : std::uint8_t {
   kSuper,
