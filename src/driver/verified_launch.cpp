@@ -86,12 +86,13 @@ std::vector<std::string> verify_clauses(const CompiledKernel& kernel,
 }
 
 VerifiedLaunch launch_verified(rt::Runtime& runtime, const CompiledProgram& program,
-                               std::size_t index, const rt::ArgMap& args) {
+                               std::size_t index, const rt::ArgMap& args,
+                               obs::Collector* collector) {
   const CompiledKernel& kernel = program.kernels.at(index);
   VerifiedLaunch result;
   result.violations = verify_clauses(kernel, args);
   if (result.violations.empty()) {
-    result.stats = runtime.launch(kernel.kernel, kernel.alloc, kernel.plan, args);
+    result.stats = runtime.launch(kernel.kernel, kernel.alloc, kernel.plan, args, collector);
     return result;
   }
   if (!program.fallback) {
@@ -102,7 +103,7 @@ VerifiedLaunch launch_verified(rt::Runtime& runtime, const CompiledProgram& prog
   }
   const CompiledKernel& fb = program.fallback->kernels.at(index);
   result.used_fallback = true;
-  result.stats = runtime.launch(fb.kernel, fb.alloc, fb.plan, args);
+  result.stats = runtime.launch(fb.kernel, fb.alloc, fb.plan, args, collector);
   return result;
 }
 

@@ -26,8 +26,10 @@ std::vector<std::string> verify_clauses(const CompiledKernel& kernel,
 /// Launches kernel `index` of `program`, falling back to the clause-ignoring
 /// twin if any clause assertion fails at runtime. If the program has no
 /// fallback but a check fails, throws std::runtime_error (wrong-answer
-/// prevention beats performance).
+/// prevention beats performance). A non-null `collector` receives the
+/// launch's trace span and simulator profile, as in rt::Runtime::launch.
 VerifiedLaunch launch_verified(rt::Runtime& runtime, const CompiledProgram& program,
-                               std::size_t index, const rt::ArgMap& args);
+                               std::size_t index, const rt::ArgMap& args,
+                               obs::Collector* collector = nullptr);
 
 }  // namespace safara::driver

@@ -1,6 +1,7 @@
 #include "fuzz/oracles.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <sstream>
 #include <stdexcept>
 
@@ -9,9 +10,10 @@
 #include "driver/compiler.hpp"
 #include "parse/parser.hpp"
 #include "regalloc/regalloc.hpp"
-#include "rt/runtime.hpp"
+#include "rt/host_eval.hpp"
 #include "support/diagnostics.hpp"
 #include "vgpu/sim.hpp"
+#include "workloads/harness.hpp"
 
 namespace safara::fuzz {
 
@@ -84,41 +86,10 @@ void fill_array(driver::HostArray& arr, std::uint64_t seed) {
   }
 }
 
-std::int64_t eval_extent(const ast::Expr& e,
-                         const std::map<std::string, rt::ScalarValue>& scalars) {
-  switch (e.kind) {
-    case ast::ExprKind::kIntLit:
-      return e.as<ast::IntLit>().value;
-    case ast::ExprKind::kVarRef: {
-      auto it = scalars.find(e.as<ast::VarRef>().name);
-      if (it == scalars.end()) {
-        throw std::runtime_error("array extent references unknown scalar '" +
-                                 e.as<ast::VarRef>().name + "'");
-      }
-      return it->second.as_int();
-    }
-    case ast::ExprKind::kBinary: {
-      const auto& b = e.as<ast::Binary>();
-      const std::int64_t l = eval_extent(*b.lhs, scalars);
-      const std::int64_t r = eval_extent(*b.rhs, scalars);
-      switch (b.op) {
-        case ast::BinaryOp::kAdd: return l + r;
-        case ast::BinaryOp::kSub: return l - r;
-        case ast::BinaryOp::kMul: return l * r;
-        case ast::BinaryOp::kDiv: return r == 0 ? 0 : l / r;
-        default: break;
-      }
-      throw std::runtime_error("unsupported operator in array extent");
-    }
-    default:
-      throw std::runtime_error("unsupported array extent expression");
-  }
-}
-
 }  // namespace
 
-ArgSet derive_args(const ast::Function& fn) {
-  ArgSet args;
+workloads::Dataset derive_args(const ast::Function& fn) {
+  workloads::Dataset args;
   // Scalars first: array extents may reference them regardless of parameter
   // order.
   for (const ast::Param& p : fn.params) {
@@ -136,6 +107,7 @@ ArgSet derive_args(const ast::Function& fn) {
     }
     args.scalars.emplace(p.name, v);
   }
+  const rt::ArgMap extent_args(args.scalars.begin(), args.scalars.end());
   for (const ast::Param& p : fn.params) {
     if (!p.is_array()) continue;
     std::vector<rt::Dim> dims;
@@ -144,7 +116,7 @@ ArgSet derive_args(const ast::Function& fn) {
     } else {
       for (std::size_t d = 0; d < p.extents.size(); ++d) {
         if (p.extents[d]) {
-          dims.push_back({0, eval_extent(*p.extents[d], args.scalars)});
+          dims.push_back({0, rt::eval_int(*p.extents[d], extent_args)});
         } else {
           dims.push_back({0, d == 0 ? 24 : 16});  // allocatable '?' dope shape
         }
@@ -165,33 +137,8 @@ namespace {
 /// thread count itself.
 constexpr vgpu::SimOptions kOneThread{.threads = 1};
 
-std::vector<vgpu::LaunchStats> run_on_sim(const driver::CompiledProgram& prog,
-                                          ArgSet& data, const vgpu::SimOptions& sim) {
-  rt::Device dev(vgpu::DeviceSpec::k20xm());
-  rt::Runtime runtime(dev, sim);
-  std::map<std::string, rt::Buffer> buffers;
-  rt::ArgMap args;
-  for (auto& [name, arr] : data.arrays) {
-    rt::Buffer buf = runtime.alloc(arr.elem, arr.dims);
-    dev.memory().copy_in(buf.device_addr, arr.data.data(), arr.data.size());
-    buffers.emplace(name, buf);
-  }
-  for (auto& [name, buf] : buffers) args.emplace(name, &buf);
-  for (auto& [name, sv] : data.scalars) args.emplace(name, sv);
-
-  std::vector<vgpu::LaunchStats> stats;
-  for (const driver::CompiledKernel& k : prog.kernels) {
-    stats.push_back(runtime.launch(k.kernel, k.alloc, k.plan, args, nullptr));
-  }
-  for (auto& [name, arr] : data.arrays) {
-    dev.memory().copy_out(buffers.at(name).device_addr, arr.data.data(),
-                          arr.data.size());
-  }
-  return stats;
-}
-
-/// Byte-exact result comparison; fills `why` with the first difference.
-bool results_equal(const ArgSet& a, const ArgSet& b, std::string* why) {
+/// Byte-exact result comparison: "" or the first difference.
+std::string results_differ(const workloads::Dataset& a, const workloads::Dataset& b) {
   for (const auto& [name, arr] : a.arrays) {
     const driver::HostArray& other = b.arrays.at(name);
     if (arr.data == other.data) continue;
@@ -210,28 +157,9 @@ bool results_equal(const ArgSet& a, const ArgSet& b, std::string* why) {
       }
     }
     if (!located) os << " in raw bytes only (NaN payloads?)";
-    *why = os.str();
-    return false;
+    return os.str();
   }
-  return true;
-}
-
-bool stats_equal(const std::vector<vgpu::LaunchStats>& a,
-                 const std::vector<vgpu::LaunchStats>& b, std::string* why) {
-  if (a.size() != b.size()) {
-    *why = "kernel count differs";
-    return false;
-  }
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    const std::string da = a[i].to_json().dump();
-    const std::string db = b[i].to_json().dump();
-    if (da != db) {
-      *why = "LaunchStats differ for kernel " + std::to_string(i) + ": " + da +
-             " vs " + db;
-      return false;
-    }
-  }
-  return true;
+  return "";
 }
 
 ast::Program parse_or_throw(const std::string& source) {
@@ -307,133 +235,152 @@ std::string mutate_source(const std::string& source) {
   return ast::to_source(prog);
 }
 
-OracleResult roundtrip_oracle(const std::string& source) {
-  OracleResult r{Oracle::kRoundtrip, Status::kOk, ""};
+std::string roundtrip(const std::string& source) {
   ast::Program p1 = parse_or_throw(source);
   const std::string printed = ast::to_source(p1);
   DiagnosticEngine d2;
   ast::Program p2 = parse::parse_source(printed, d2);
-  if (!d2.ok()) {
-    r.status = Status::kDiverged;
-    r.detail = "printed program does not reparse: " + d2.render();
-    return r;
-  }
+  if (!d2.ok()) return "printed program does not reparse: " + d2.render();
   if (p1.functions.size() != p2.functions.size()) {
-    r.status = Status::kDiverged;
-    r.detail = "function count changed across print/reparse";
-    return r;
+    return "function count changed across print/reparse";
   }
   for (std::size_t i = 0; i < p1.functions.size(); ++i) {
     if (ast::hash(*p1.functions[i]) != ast::hash(*p2.functions[i])) {
-      r.status = Status::kDiverged;
-      r.detail = "AST hash changed across print/reparse for function '" +
-                 p1.functions[i]->name + "'";
-      return r;
+      return "AST hash changed across print/reparse for function '" +
+             p1.functions[i]->name + "'";
     }
   }
-  if (ast::to_source(p2) != printed) {
-    r.status = Status::kDiverged;
-    r.detail = "printer is not a fixpoint: second print differs";
-  }
-  return r;
+  if (ast::to_source(p2) != printed) return "printer is not a fixpoint: second print differs";
+  return "";
 }
 
-OracleResult ref_vs_sim_oracle(const std::string& source, bool inject) {
-  OracleResult r{Oracle::kRefVsSim, Status::kOk, ""};
+std::string ref_vs_sim(const std::string& source, const std::string& mutant) {
+  const driver::CompilerOptions opts = driver::CompilerOptions::openuh_base();
+  const driver::CompiledProgram prog = driver::Compiler(opts).compile(mutant);
+  const ast::Program parsed = parse_or_throw(source);
+  const ast::Function& fn = *parsed.functions.front();
 
-  driver::Compiler compiler(driver::CompilerOptions::openuh_base());
-  driver::CompiledProgram prog =
-      compiler.compile(inject ? mutate_source(source) : source);
-  ast::Program parsed = parse_or_throw(source);
+  workloads::Dataset sim_data = derive_args(fn);
+  workloads::run(prog, sim_data, opts.device, nullptr, kOneThread);
+  workloads::Dataset ref_data = derive_args(fn);
+  driver::RefArgMap ref_args = ref_data.ref_args();
+  driver::run_reference(fn, ref_args);
 
-  ArgSet sim_data = derive_args(*parsed.functions.front());
-  run_on_sim(prog, sim_data, kOneThread);
-
-  ArgSet ref_data = derive_args(*parsed.functions.front());
-  driver::RefArgMap ref_args;
-  for (auto& [name, arr] : ref_data.arrays) ref_args.emplace(name, &arr);
-  for (auto& [name, sv] : ref_data.scalars) ref_args.emplace(name, sv);
-  driver::run_reference(*parsed.functions.front(), ref_args);
-
-  std::string why;
-  if (!results_equal(sim_data, ref_data, &why)) {
-    r.status = Status::kDiverged;
-    r.detail = "simulator vs reference: " + why;
-  }
-  return r;
+  const std::string why = results_differ(sim_data, ref_data);
+  return why.empty() ? why : "simulator vs reference: " + why;
 }
 
-OracleResult safara_on_off_oracle(const std::string& source, bool inject) {
-  OracleResult r{Oracle::kSafaraOnOff, Status::kOk, ""};
+// -- the pair runner ----------------------------------------------------------------
 
-  driver::Compiler base(driver::CompilerOptions::openuh_base());
-  driver::CompiledProgram prog_a = base.compile(source);
-  driver::Compiler safara(driver::CompilerOptions::openuh_safara_clauses());
-  driver::CompiledProgram prog_b =
-      safara.compile(inject ? mutate_source(source) : source);
+/// One side of a differential pair: how it compiles and how it simulates.
+struct Side {
+  driver::CompilerOptions opts;
+  vgpu::SimOptions sim = kOneThread;
+};
 
-  ast::Program parsed = parse_or_throw(source);
-  ArgSet data_a = derive_args(*parsed.functions.front());
-  ArgSet data_b = derive_args(*parsed.functions.front());
-  run_on_sim(prog_a, data_a, kOneThread);
-  run_on_sim(prog_b, data_b, kOneThread);
+using LaunchCheck =
+    std::function<std::string(const vgpu::LaunchStats& a, const vgpu::LaunchStats& b)>;
 
-  std::string why;
-  if (!results_equal(data_a, data_b, &why)) {
-    r.status = Status::kDiverged;
-    r.detail = "SAFARA off vs on: " + why;
-  }
-  return r;
+struct Pair {
+  std::string label;  // prefixes every divergence the pair reports
+  Side a, b;
+  /// LaunchStats fields, by their to_json() key, that must agree launch by
+  /// launch.
+  std::vector<std::string> fields = {};
+  /// The oracle's own per-launch check, run once `fields` agree: "" or what
+  /// is wrong.
+  LaunchCheck check = nullptr;
+};
+
+struct PairRun {
+  std::string divergence;  // "" when the two sides agree
+  driver::CompiledProgram prog_b;
+};
+
+/// Every LaunchStats field: the list for pairs that run one program two ways
+/// the determinism contract says are indistinguishable.
+const std::vector<std::string>& every_field() {
+  static const std::vector<std::string> kAll = [] {
+    const obs::json::Value stats = vgpu::LaunchStats{}.to_json();
+    std::vector<std::string> keys;
+    for (const auto& [key, value] : stats.members()) keys.push_back(key);
+    return keys;
+  }();
+  return kAll;
 }
 
-OracleResult dispatch_oracle(const std::string& source) {
-  OracleResult r{Oracle::kDispatch, Status::kOk, ""};
+/// The step every differential oracle shares: compiles side A from `source`
+/// and side B from `source_b` (the mutant under injection), runs both on
+/// arguments derived from `source`, then compares the arrays byte for byte,
+/// the launch counts, and each launch's `fields` and `check`.
+PairRun run_pair(const Pair& pair, const std::string& source, const std::string& source_b) {
+  PairRun run;
+  const driver::CompiledProgram prog_a = driver::Compiler(pair.a.opts).compile(source);
+  run.prog_b = driver::Compiler(pair.b.opts).compile(source_b);
+  const ast::Program parsed = parse_or_throw(source);
+  workloads::Dataset data_a = derive_args(*parsed.functions.front());
+  workloads::Dataset data_b = derive_args(*parsed.functions.front());
+  const std::vector<vgpu::LaunchStats> stats_a =
+      workloads::run(prog_a, data_a, pair.a.opts.device, nullptr, pair.a.sim);
+  const std::vector<vgpu::LaunchStats> stats_b =
+      workloads::run(run.prog_b, data_b, pair.b.opts.device, nullptr, pair.b.sim);
 
-  driver::Compiler compiler(driver::CompilerOptions::openuh_safara_clauses());
-  driver::CompiledProgram prog = compiler.compile(source);
-  ast::Program parsed = parse_or_throw(source);
-
-  ArgSet data_a = derive_args(*parsed.functions.front());
-  std::vector<vgpu::LaunchStats> stats_a =
-      run_on_sim(prog, data_a, {.threads = 1, .dispatch = vgpu::SimDispatch::kSuper});
-
-  ArgSet data_b = derive_args(*parsed.functions.front());
-  std::vector<vgpu::LaunchStats> stats_b =
-      run_on_sim(prog, data_b, {.threads = 1, .dispatch = vgpu::SimDispatch::kRef});
-
-  std::string why;
-  if (!results_equal(data_a, data_b, &why)) {
-    r.status = Status::kDiverged;
-    r.detail = "super vs ref dispatch results: " + why;
-  } else if (!stats_equal(stats_a, stats_b, &why)) {
-    r.status = Status::kDiverged;
-    r.detail = "super vs ref dispatch stats: " + why;
+  if (std::string why = results_differ(data_a, data_b); !why.empty()) {
+    run.divergence = pair.label + " results: " + why;
+    return run;
   }
-  return r;
+  if (stats_a.size() != stats_b.size()) {
+    run.divergence = pair.label + ": launch count differs (" + std::to_string(stats_a.size()) +
+                     " vs " + std::to_string(stats_b.size()) + ")";
+    return run;
+  }
+  for (std::size_t i = 0; i < stats_a.size(); ++i) {
+    const obs::json::Value a = stats_a[i].to_json();
+    const obs::json::Value b = stats_b[i].to_json();
+    std::string why;
+    for (const std::string& field : pair.fields) {
+      const obs::json::Value* va = a.find(field);
+      if (!va) throw std::logic_error("LaunchStats has no field '" + field + "'");
+      if (va->dump() != b.find(field)->dump()) {
+        why = field + " " + va->dump() + " vs " + b.find(field)->dump();
+        break;
+      }
+    }
+    if (why.empty() && pair.check) why = pair.check(stats_a[i], stats_b[i]);
+    if (!why.empty()) {
+      run.divergence = pair.label + " stats for launch " + std::to_string(i) + ": " + why;
+      return run;
+    }
+  }
+  return run;
 }
 
-OracleResult threads_oracle(const std::string& source) {
-  OracleResult r{Oracle::kThreads, Status::kOk, ""};
+std::string safara_on_off(const std::string& source, const std::string& mutant) {
+  return run_pair({.label = "SAFARA off vs on",
+                   .a = {driver::CompilerOptions::openuh_base()},
+                   .b = {driver::CompilerOptions::openuh_safara_clauses()}},
+                  source, mutant)
+      .divergence;
+}
 
-  driver::Compiler compiler(driver::CompilerOptions::openuh_base());
-  driver::CompiledProgram prog = compiler.compile(source);
-  ast::Program parsed = parse_or_throw(source);
+std::string dispatch(const std::string& source) {
+  const driver::CompilerOptions opts = driver::CompilerOptions::openuh_safara_clauses();
+  return run_pair({.label = "super vs ref dispatch",
+                   .a = {opts, {.threads = 1, .dispatch = vgpu::SimDispatch::kSuper}},
+                   .b = {opts, {.threads = 1, .dispatch = vgpu::SimDispatch::kRef}},
+                   .fields = every_field()},
+                  source, source)
+      .divergence;
+}
 
-  ArgSet data_a = derive_args(*parsed.functions.front());
-  std::vector<vgpu::LaunchStats> stats_a = run_on_sim(prog, data_a, kOneThread);
-
-  ArgSet data_b = derive_args(*parsed.functions.front());
-  std::vector<vgpu::LaunchStats> stats_b = run_on_sim(prog, data_b, {.threads = 4});
-
-  std::string why;
-  if (!results_equal(data_a, data_b, &why)) {
-    r.status = Status::kDiverged;
-    r.detail = "1 vs 4 sim threads results: " + why;
-  } else if (!stats_equal(stats_a, stats_b, &why)) {
-    r.status = Status::kDiverged;
-    r.detail = "1 vs 4 sim threads stats: " + why;
-  }
-  return r;
+std::string threads(const std::string& source) {
+  const driver::CompilerOptions opts = driver::CompilerOptions::openuh_base();
+  return run_pair({.label = "1 vs 4 sim threads",
+                   .a = {opts},
+                   .b = {opts, {.threads = 4}},
+                   .fields = every_field()},
+                  source, source)
+      .divergence;
 }
 
 /// The pass-pipeline differential: --opt-level 0 vs 2 under the full
@@ -444,74 +391,40 @@ OracleResult threads_oracle(const std::string& source) {
 /// nothing may invent one). Registers are bounded on a separate base-config
 /// compile, because under safara_clauses the feedback loop deliberately
 /// reinvests freed registers in more scalar replacement.
-OracleResult opt_vs_noopt_oracle(const std::string& source, bool inject) {
-  OracleResult r{Oracle::kOptVsNoopt, Status::kOk, ""};
-
+std::string opt_vs_noopt(const std::string& source, const std::string& mutant) {
   driver::CompilerOptions off = driver::CompilerOptions::openuh_safara_clauses();
   off.opt_level = 0;
   driver::CompilerOptions on = off;
   on.opt_level = 2;
-  driver::Compiler c_off(off);
-  driver::CompiledProgram prog_a = c_off.compile(source);
-  driver::Compiler c_on(on);
-  const std::string source_b = inject ? mutate_source(source) : source;
-  driver::CompiledProgram prog_b = c_on.compile(source_b);
-
-  ast::Program parsed = parse_or_throw(source);
-  ArgSet data_a = derive_args(*parsed.functions.front());
-  ArgSet data_b = derive_args(*parsed.functions.front());
-  std::vector<vgpu::LaunchStats> stats_a = run_on_sim(prog_a, data_a, kOneThread);
-  std::vector<vgpu::LaunchStats> stats_b = run_on_sim(prog_b, data_b, kOneThread);
-
-  std::string why;
-  if (!results_equal(data_a, data_b, &why)) {
-    r.status = Status::kDiverged;
-    r.detail = "opt-level 0 vs 2 results: " + why;
-    return r;
-  }
-  if (stats_a.size() != stats_b.size()) {
-    r.status = Status::kDiverged;
-    r.detail = "opt-level 0 vs 2: launch count differs (" +
-               std::to_string(stats_a.size()) + " vs " + std::to_string(stats_b.size()) + ")";
-    return r;
-  }
-  for (std::size_t i = 0; i < stats_a.size(); ++i) {
-    const vgpu::LaunchStats& a = stats_a[i];
-    const vgpu::LaunchStats& b = stats_b[i];
-    std::ostringstream os;
-    if (a.global_stores != b.global_stores) {
-      os << "global_stores " << a.global_stores << " vs " << b.global_stores;
-    } else if (a.atomics != b.atomics) {
-      os << "atomics " << a.atomics << " vs " << b.atomics;
-    } else if (b.global_loads > a.global_loads) {
-      os << "optimized side gained global loads: " << a.global_loads << " vs "
-         << b.global_loads;
-    }
-    if (!os.str().empty()) {
-      r.status = Status::kDiverged;
-      r.detail = "opt-level 0 vs 2 stats for kernel " + std::to_string(i) + ": " + os.str();
-      return r;
-    }
-  }
+  const PairRun run = run_pair(
+      {.label = "opt-level 0 vs 2",
+       .a = {off},
+       .b = {on},
+       .fields = {"global_stores", "atomics"},
+       .check = [](const vgpu::LaunchStats& a, const vgpu::LaunchStats& b) {
+         if (b.global_loads <= a.global_loads) return std::string();
+         return "optimized side gained global loads: " + std::to_string(a.global_loads) +
+                " vs " + std::to_string(b.global_loads);
+       }},
+      source, mutant);
+  if (!run.divergence.empty()) return run.divergence;
 
   // Provenance oracle: every instruction the full -O2 pipeline emits must
   // still resolve to a valid line of the compiled source. Passes may hoist,
   // clone, or delete instructions, but none may mint one without a source
   // location or point it past the end of the translation unit — the
   // attribution profile would silently misreport otherwise.
-  const std::uint32_t source_lines = static_cast<std::uint32_t>(
-      1 + std::count(source_b.begin(), source_b.end(), '\n'));
-  for (std::size_t i = 0; i < prog_b.kernels.size(); ++i) {
-    const vir::Kernel& k = prog_b.kernels[i].kernel;
+  const std::uint32_t source_lines =
+      static_cast<std::uint32_t>(1 + std::count(mutant.begin(), mutant.end(), '\n'));
+  for (std::size_t i = 0; i < run.prog_b.kernels.size(); ++i) {
+    const vir::Kernel& k = run.prog_b.kernels[i].kernel;
     for (std::size_t pc = 0; pc < k.code.size(); ++pc) {
       const SourceLoc loc = k.code[pc].loc;
       if (!loc.valid() || loc.line > source_lines) {
-        r.status = Status::kDiverged;
-        r.detail = "opt-level 2 provenance: kernel " + std::to_string(i) + " pc " +
-                   std::to_string(pc) +
-                   (loc.valid() ? " points at out-of-range line " + std::to_string(loc.line)
-                                : " lost its source location");
-        return r;
+        return "opt-level 2 provenance: kernel " + std::to_string(i) + " pc " +
+               std::to_string(pc) +
+               (loc.valid() ? " points at out-of-range line " + std::to_string(loc.line)
+                            : " lost its source location");
       }
     }
   }
@@ -526,8 +439,8 @@ OracleResult opt_vs_noopt_oracle(const std::string& source, bool inject) {
   base_off.opt_level = 0;
   driver::CompilerOptions base_on = base_off;
   base_on.opt_level = 2;
-  driver::CompiledProgram base_a = driver::Compiler(base_off).compile(source);
-  driver::CompiledProgram base_b = driver::Compiler(base_on).compile(source);
+  const driver::CompiledProgram base_a = driver::Compiler(base_off).compile(source);
+  const driver::CompiledProgram base_b = driver::Compiler(base_on).compile(source);
   if (base_a.kernels.size() == base_b.kernels.size()) {
     for (std::size_t i = 0; i < base_a.kernels.size(); ++i) {
       // At level 0 the pipeline is a no-op, so pressure_after is the raw
@@ -535,15 +448,12 @@ OracleResult opt_vs_noopt_oracle(const std::string& source, bool inject) {
       const int raw = base_a.kernels[i].vir_stats.pressure_after;
       const int opt = base_b.kernels[i].vir_stats.pressure_after;
       if (opt > raw) {
-        r.status = Status::kDiverged;
-        r.detail = "base-config live pressure grew under --opt-level 2 for kernel " +
-                   std::to_string(i) + ": " + std::to_string(raw) + " vs " +
-                   std::to_string(opt);
-        return r;
+        return "base-config live pressure grew under --opt-level 2 for kernel " +
+               std::to_string(i) + ": " + std::to_string(raw) + " vs " + std::to_string(opt);
       }
     }
   }
-  return r;
+  return "";
 }
 
 /// The allocator differential: linear scan vs graph coloring, same source.
@@ -554,85 +464,27 @@ OracleResult opt_vs_noopt_oracle(const std::string& source, bool inject) {
 /// only launch count, global stores and atomics are pinned there. The
 /// feedback-free base-config pair compiles identical VIR, so loads must
 /// match too.
-OracleResult linear_vs_color_oracle(const std::string& source, bool inject) {
-  OracleResult r{Oracle::kLinearVsColor, Status::kOk, ""};
-
-  driver::CompilerOptions lin = driver::CompilerOptions::openuh_safara_clauses();
-  lin.regalloc.strategy = regalloc::Strategy::kLinear;
-  driver::CompilerOptions col = driver::CompilerOptions::openuh_safara_clauses();
-  col.regalloc.strategy = regalloc::Strategy::kColor;
-  driver::CompiledProgram prog_a = driver::Compiler(lin).compile(source);
-  const std::string source_b = inject ? mutate_source(source) : source;
-  driver::CompiledProgram prog_b = driver::Compiler(col).compile(source_b);
-
-  ast::Program parsed = parse_or_throw(source);
-  ArgSet data_a = derive_args(*parsed.functions.front());
-  ArgSet data_b = derive_args(*parsed.functions.front());
-  std::vector<vgpu::LaunchStats> stats_a = run_on_sim(prog_a, data_a, kOneThread);
-  std::vector<vgpu::LaunchStats> stats_b = run_on_sim(prog_b, data_b, kOneThread);
-
-  std::string why;
-  if (!results_equal(data_a, data_b, &why)) {
-    r.status = Status::kDiverged;
-    r.detail = "linear vs color results: " + why;
-    return r;
-  }
-  if (stats_a.size() != stats_b.size()) {
-    r.status = Status::kDiverged;
-    r.detail = "linear vs color: launch count differs (" +
-               std::to_string(stats_a.size()) + " vs " +
-               std::to_string(stats_b.size()) + ")";
-    return r;
-  }
-  for (std::size_t i = 0; i < stats_a.size(); ++i) {
-    const vgpu::LaunchStats& a = stats_a[i];
-    const vgpu::LaunchStats& b = stats_b[i];
-    std::ostringstream os;
-    if (a.global_stores != b.global_stores) {
-      os << "global_stores " << a.global_stores << " vs " << b.global_stores;
-    } else if (a.atomics != b.atomics) {
-      os << "atomics " << a.atomics << " vs " << b.atomics;
-    }
-    if (!os.str().empty()) {
-      r.status = Status::kDiverged;
-      r.detail = "linear vs color stats for kernel " + std::to_string(i) + ": " + os.str();
-      return r;
-    }
-  }
+std::string linear_vs_color(const std::string& source, const std::string& mutant) {
+  auto with = [](driver::CompilerOptions opts, regalloc::Strategy strategy) {
+    opts.regalloc.strategy = strategy;
+    return opts;
+  };
+  const driver::CompilerOptions clauses = driver::CompilerOptions::openuh_safara_clauses();
+  const PairRun run = run_pair({.label = "linear vs color",
+                                .a = {with(clauses, regalloc::Strategy::kLinear)},
+                                .b = {with(clauses, regalloc::Strategy::kColor)},
+                                .fields = {"global_stores", "atomics"}},
+                               source, mutant);
+  if (!run.divergence.empty()) return run.divergence;
 
   // Feedback-free pair: identical VIR, so all memory traffic must agree.
-  driver::CompilerOptions base_lin = driver::CompilerOptions::openuh_base();
-  base_lin.regalloc.strategy = regalloc::Strategy::kLinear;
-  driver::CompilerOptions base_col = driver::CompilerOptions::openuh_base();
-  base_col.regalloc.strategy = regalloc::Strategy::kColor;
-  driver::CompiledProgram base_a = driver::Compiler(base_lin).compile(source);
-  driver::CompiledProgram base_b = driver::Compiler(base_col).compile(source);
-  ArgSet bdata_a = derive_args(*parsed.functions.front());
-  ArgSet bdata_b = derive_args(*parsed.functions.front());
-  std::vector<vgpu::LaunchStats> bstats_a = run_on_sim(base_a, bdata_a, kOneThread);
-  std::vector<vgpu::LaunchStats> bstats_b = run_on_sim(base_b, bdata_b, kOneThread);
-  if (!results_equal(bdata_a, bdata_b, &why)) {
-    r.status = Status::kDiverged;
-    r.detail = "linear vs color base-config results: " + why;
-    return r;
-  }
-  if (bstats_a.size() != bstats_b.size()) {
-    r.status = Status::kDiverged;
-    r.detail = "linear vs color base-config launch count differs";
-    return r;
-  }
-  for (std::size_t i = 0; i < bstats_a.size(); ++i) {
-    const vgpu::LaunchStats& a = bstats_a[i];
-    const vgpu::LaunchStats& b = bstats_b[i];
-    if (a.global_loads != b.global_loads || a.global_stores != b.global_stores ||
-        a.atomics != b.atomics) {
-      r.status = Status::kDiverged;
-      r.detail = "linear vs color base-config memory traffic differs for kernel " +
-                 std::to_string(i);
-      return r;
-    }
-  }
-  return r;
+  const driver::CompilerOptions base = driver::CompilerOptions::openuh_base();
+  return run_pair({.label = "linear vs color base-config",
+                   .a = {with(base, regalloc::Strategy::kLinear)},
+                   .b = {with(base, regalloc::Strategy::kColor)},
+                   .fields = {"global_loads", "global_stores", "atomics"}},
+                  source, source)
+      .divergence;
 }
 
 /// The spill-memory differential: --spill-mem local vs auto (RegDem), same
@@ -644,81 +496,41 @@ OracleResult linear_vs_color_oracle(const std::string& source, bool inject) {
 /// spill accesses equal. Only cycles, stalls, occupancy, and the shared
 /// counters may move. A second pressure pair (base config, 24-register cap)
 /// makes spilling near-certain so demotion actually runs on most inputs.
-OracleResult spillmem_oracle(const std::string& source, bool inject) {
-  OracleResult r{Oracle::kSpillMem, Status::kOk, ""};
-
-  ast::Program parsed = parse_or_throw(source);
-
-  auto compare_pair = [&](driver::CompilerOptions opts,
-                          const std::string& label) -> bool {
+std::string spillmem(const std::string& source, const std::string& mutant) {
+  driver::CompilerOptions pressure = driver::CompilerOptions::openuh_base();
+  pressure.regalloc.max_registers = 24;
+  const std::pair<driver::CompilerOptions, std::string> configs[] = {
+      {driver::CompilerOptions::openuh_safara_clauses(), "spill-mem local vs auto"},
+      {pressure, "spill-mem local vs auto under pressure"},
+  };
+  for (const auto& [opts, label] : configs) {
     driver::CompilerOptions local = opts;
     local.regalloc.spill_mem = regalloc::SpillMem::kLocal;
     driver::CompilerOptions shared = opts;
     shared.regalloc.spill_mem = regalloc::SpillMem::kAuto;
-    driver::CompiledProgram prog_a = driver::Compiler(local).compile(source);
-    const std::string source_b = inject ? mutate_source(source) : source;
-    driver::CompiledProgram prog_b = driver::Compiler(shared).compile(source_b);
-
-    ArgSet data_a = derive_args(*parsed.functions.front());
-    ArgSet data_b = derive_args(*parsed.functions.front());
-    std::vector<vgpu::LaunchStats> stats_a = run_on_sim(prog_a, data_a, kOneThread);
-    std::vector<vgpu::LaunchStats> stats_b = run_on_sim(prog_b, data_b, kOneThread);
-
-    std::string why;
-    if (!results_equal(data_a, data_b, &why)) {
-      r.status = Status::kDiverged;
-      r.detail = label + " results: " + why;
-      return false;
-    }
-    if (stats_a.size() != stats_b.size()) {
-      r.status = Status::kDiverged;
-      r.detail = label + ": launch count differs (" +
-                 std::to_string(stats_a.size()) + " vs " +
-                 std::to_string(stats_b.size()) + ")";
-      return false;
-    }
-    for (std::size_t i = 0; i < stats_a.size(); ++i) {
-      const vgpu::LaunchStats& a = stats_a[i];
-      const vgpu::LaunchStats& b = stats_b[i];
-      std::ostringstream os;
-      if (a.regs_per_thread != b.regs_per_thread) {
-        os << "regs_per_thread " << a.regs_per_thread << " vs " << b.regs_per_thread;
-      } else if (a.warp_instructions != b.warp_instructions) {
-        os << "warp_instructions " << a.warp_instructions << " vs "
-           << b.warp_instructions;
-      } else if (a.global_loads != b.global_loads) {
-        os << "global_loads " << a.global_loads << " vs " << b.global_loads;
-      } else if (a.global_stores != b.global_stores) {
-        os << "global_stores " << a.global_stores << " vs " << b.global_stores;
-      } else if (a.atomics != b.atomics) {
-        os << "atomics " << a.atomics << " vs " << b.atomics;
-      } else if (a.spill_accesses != b.spill_accesses) {
-        os << "spill_accesses " << a.spill_accesses << " vs " << b.spill_accesses;
-      } else if (a.shared_accesses != 0) {
-        // The local side must never touch shared memory.
-        os << "local side reports " << a.shared_accesses << " shared accesses";
-      } else if (b.shared_accesses > b.spill_accesses) {
-        // Shared traffic is a subset of spill traffic by construction.
-        os << "shared_accesses " << b.shared_accesses << " exceeds spill_accesses "
-           << b.spill_accesses;
-      }
-      if (!os.str().empty()) {
-        r.status = Status::kDiverged;
-        r.detail = label + " stats for kernel " + std::to_string(i) + ": " + os.str();
-        return false;
-      }
-    }
-    return true;
-  };
-
-  if (!compare_pair(driver::CompilerOptions::openuh_safara_clauses(),
-                    "spill-mem local vs auto")) {
-    return r;
+    const PairRun run = run_pair(
+        {.label = label,
+         .a = {local},
+         .b = {shared},
+         .fields = {"regs_per_thread", "warp_instructions", "global_loads", "global_stores",
+                    "atomics", "spill_accesses"},
+         .check = [](const vgpu::LaunchStats& a, const vgpu::LaunchStats& b) {
+           // The local side must never touch shared memory, and shared
+           // traffic is a subset of spill traffic by construction.
+           if (a.shared_accesses != 0) {
+             return "local side reports " + std::to_string(a.shared_accesses) +
+                    " shared accesses";
+           }
+           if (b.shared_accesses > b.spill_accesses) {
+             return "shared_accesses " + std::to_string(b.shared_accesses) +
+                    " exceeds spill_accesses " + std::to_string(b.spill_accesses);
+           }
+           return std::string();
+         }},
+        source, mutant);
+    if (!run.divergence.empty()) return run.divergence;
   }
-  driver::CompilerOptions pressure = driver::CompilerOptions::openuh_base();
-  pressure.regalloc.max_registers = 24;
-  compare_pair(pressure, "spill-mem local vs auto under pressure");
-  return r;
+  return "";
 }
 
 }  // namespace
@@ -726,21 +538,19 @@ OracleResult spillmem_oracle(const std::string& source, bool inject) {
 OracleResult run_oracle(const std::string& source, Oracle o,
                         const OracleOptions& opts) {
   try {
+    const std::string mutant = opts.inject_miscompile ? mutate_source(source) : source;
+    std::string detail;
     switch (o) {
-      case Oracle::kRoundtrip: return roundtrip_oracle(source);
-      case Oracle::kRefVsSim: return ref_vs_sim_oracle(source, opts.inject_miscompile);
-      case Oracle::kSafaraOnOff:
-        return safara_on_off_oracle(source, opts.inject_miscompile);
-      case Oracle::kDispatch: return dispatch_oracle(source);
-      case Oracle::kThreads: return threads_oracle(source);
-      case Oracle::kOptVsNoopt:
-        return opt_vs_noopt_oracle(source, opts.inject_miscompile);
-      case Oracle::kLinearVsColor:
-        return linear_vs_color_oracle(source, opts.inject_miscompile);
-      case Oracle::kSpillMem:
-        return spillmem_oracle(source, opts.inject_miscompile);
+      case Oracle::kRoundtrip: detail = roundtrip(source); break;
+      case Oracle::kRefVsSim: detail = ref_vs_sim(source, mutant); break;
+      case Oracle::kSafaraOnOff: detail = safara_on_off(source, mutant); break;
+      case Oracle::kDispatch: detail = dispatch(source); break;
+      case Oracle::kThreads: detail = threads(source); break;
+      case Oracle::kOptVsNoopt: detail = opt_vs_noopt(source, mutant); break;
+      case Oracle::kLinearVsColor: detail = linear_vs_color(source, mutant); break;
+      case Oracle::kSpillMem: detail = spillmem(source, mutant); break;
     }
-    return {o, Status::kError, "unknown oracle"};
+    return {o, detail.empty() ? Status::kOk : Status::kDiverged, detail};
   } catch (const std::exception& e) {
     return {o, Status::kError, e.what()};
   }

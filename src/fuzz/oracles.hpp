@@ -37,20 +37,24 @@
 //                 once on a pressure pair (base config, 24-register cap)
 //                 where spilling — and hence demotion — is near-certain.
 //
+// Every pair except kRoundtrip and kRefVsSim goes through one pair runner
+// (oracles.cpp): compile both sides, run each through workloads::run on the
+// arguments derive_args builds, then compare the arrays byte for byte, the
+// launch counts, and the LaunchStats fields the pair lists. An oracle adds
+// only the checks no other oracle makes.
+//
 // run_oracle never throws: compile/runtime exceptions become Status::kError,
 // which the harness counts as a divergence too (a generated program that one
 // side rejects is as much a bug as a wrong answer).
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "ast/decl.hpp"
-#include "driver/reference.hpp"
-#include "rt/args.hpp"
+#include "workloads/workloads.hpp"
 
 namespace safara::fuzz {
 
@@ -81,12 +85,6 @@ struct OracleResult {
   std::string detail;  // divergence description or exception text
 };
 
-/// Host-side argument set for one program run.
-struct ArgSet {
-  std::map<std::string, driver::HostArray> arrays;
-  std::map<std::string, rt::ScalarValue> scalars;
-};
-
 /// Reconstructs a runnable, deterministic argument set from nothing but the
 /// parameter list, using the generator's conventions: n=24, m=16, other int
 /// scalars 8, float scalars 1.5, double scalars 2.5; rank-1 arrays length n,
@@ -94,12 +92,13 @@ struct ArgSet {
 /// [0.25, 1.25], ints in [0, 96]). This is what makes a corpus .acc file or a
 /// reduced candidate runnable from its source text alone.
 /// Throws std::runtime_error on extents it cannot evaluate.
-ArgSet derive_args(const ast::Function& fn);
+workloads::Dataset derive_args(const ast::Function& fn);
 
 struct OracleOptions {
   /// Miscompile injection for testing the harness itself: side B of
-  /// kRefVsSim / kSafaraOnOff compiles a mutated program (first '+' flipped
-  /// to '-'), which the oracle must then catch.
+  /// kRefVsSim, kSafaraOnOff, kOptVsNoopt, kLinearVsColor (its
+  /// safara_clauses pair) and kSpillMem compiles a mutated program (first
+  /// '+' flipped to '-'), which the oracle must then catch.
   bool inject_miscompile = false;
 };
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 
+#include "driver/verified_launch.hpp"
 #include "parse/parser.hpp"
 #include "rt/runtime.hpp"
 
@@ -47,67 +48,110 @@ obs::json::Value RunResult::to_json() const {
   return v;
 }
 
-RunResult simulate(const Workload& w, const driver::CompilerOptions& opts,
-                   obs::Collector* collector, const vgpu::SimOptions& sim) {
-  using Clock = std::chrono::steady_clock;
-  auto ms_since = [](Clock::time_point t0) {
-    return std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
-  };
+namespace {
 
-  obs::ScopedSpan span(obs::tracer_of(collector), "workload.simulate", "harness");
-  span.set_arg("workload", obs::json::Value(w.name));
-  driver::Compiler compiler(opts, collector);
-  const Clock::time_point compile_start = Clock::now();
-  driver::CompiledProgram prog = compiler.compile(w.source, w.function);
-  const double compile_ms = ms_since(compile_start);
+using Clock = std::chrono::steady_clock;
 
-  Dataset data = w.make_dataset();
-  rt::Device dev(opts.device);
+double ms_since(Clock::time_point t0) {
+  return std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
+}
+
+}  // namespace
+
+std::vector<vgpu::LaunchStats> run(const driver::CompiledProgram& prog, Dataset& data,
+                                   const vgpu::DeviceSpec& spec, obs::Collector* collector,
+                                   const vgpu::SimOptions& sim, int steps) {
+  obs::Tracer* tracer = obs::tracer_of(collector);
+  rt::Device dev(spec);
   rt::Runtime runtime(dev, sim);
 
   std::map<std::string, rt::Buffer> buffers;
-  rt::ArgMap args;
-  for (auto& [name, arr] : data.arrays) {
-    rt::Buffer buf = runtime.alloc(arr.elem, arr.dims);
-    dev.memory().copy_in(buf.device_addr, arr.data.data(), arr.data.size());
-    buffers.emplace(name, buf);
+  {
+    obs::ScopedSpan span(tracer, "rt.copy_in", "rt");
+    for (auto& [name, arr] : data.arrays) {
+      rt::Buffer buf = runtime.alloc(arr.elem, arr.dims);
+      dev.memory().copy_in(buf.device_addr, arr.data.data(), arr.data.size());
+      buffers.emplace(name, buf);
+    }
   }
+  rt::ArgMap args;
   for (auto& [name, buf] : buffers) args.emplace(name, &buf);
   for (auto& [name, sv] : data.scalars) args.emplace(name, sv);
 
-  RunResult result;
-  result.compile_ms = compile_ms;
-  result.kernels.resize(prog.kernels.size());
-  const Clock::time_point sim_start = Clock::now();
-  for (int step = 0; step < w.time_steps; ++step) {
+  std::vector<vgpu::LaunchStats> stats;
+  for (int step = 0; step < steps; ++step) {
     for (std::size_t k = 0; k < prog.kernels.size(); ++k) {
-      const driver::CompiledKernel& ck = prog.kernels[k];
-      vgpu::LaunchStats stats = runtime.launch(ck.kernel, ck.alloc, ck.plan, args, collector);
-      result.cycles += stats.cycles;
-      result.warp_instructions += stats.warp_instructions;
-      result.global_loads += stats.global_loads;
-      result.mem_transactions += stats.mem_transactions;
-      result.spill_accesses += stats.spill_accesses;
-      result.shared_accesses += stats.shared_accesses;
-      result.shared_bank_conflicts += stats.shared_bank_conflicts;
-      result.max_regs = std::max(result.max_regs, stats.regs_per_thread);
-      result.min_occupancy = std::min(result.min_occupancy, stats.occupancy);
-
-      KernelMetrics& km = result.kernels[k];
-      km.name = ck.name;
-      km.regs = ck.alloc.regs_used;
-      km.spill_bytes = ck.alloc.spill_bytes;
-      km.shared_spill_bytes = ck.alloc.shared_spill_bytes;
-      km.occupancy = stats.occupancy;
-      km.cycles += stats.cycles;
+      if (prog.fallback) {
+        stats.push_back(driver::launch_verified(runtime, prog, k, args, collector).stats);
+      } else {
+        const driver::CompiledKernel& ck = prog.kernels[k];
+        stats.push_back(runtime.launch(ck.kernel, ck.alloc, ck.plan, args, collector));
+      }
     }
   }
-  result.sim_ms = ms_since(sim_start);
 
+  obs::ScopedSpan span(tracer, "rt.copy_out", "rt");
   for (auto& [name, arr] : data.arrays) {
     dev.memory().copy_out(buffers.at(name).device_addr, arr.data.data(), arr.data.size());
   }
+  return stats;
+}
+
+RunResult simulate(const Workload& w, const driver::CompiledProgram& prog,
+                   const vgpu::DeviceSpec& spec, obs::Collector* collector,
+                   const vgpu::SimOptions& sim) {
+  obs::Tracer* tracer = obs::tracer_of(collector);
+  obs::ScopedSpan span(tracer, "workload.simulate", "harness");
+  span.set_arg("workload", obs::json::Value(w.name));
+
+  Dataset data;
+  {
+    obs::ScopedSpan dataset_span(tracer, "workloads.dataset", "harness");
+    data = w.make_dataset();
+  }
+  RunResult result;
+  const Clock::time_point sim_start = Clock::now();
+  const std::vector<vgpu::LaunchStats> launches =
+      run(prog, data, spec, collector, sim, w.time_steps);
+  result.sim_ms = ms_since(sim_start);
+
+  result.kernels.resize(prog.kernels.size());
+  for (std::size_t i = 0; i < launches.size(); ++i) {
+    const vgpu::LaunchStats& stats = launches[i];
+    result.cycles += stats.cycles;
+    result.warp_instructions += stats.warp_instructions;
+    result.global_loads += stats.global_loads;
+    result.mem_transactions += stats.mem_transactions;
+    result.spill_accesses += stats.spill_accesses;
+    result.shared_accesses += stats.shared_accesses;
+    result.shared_bank_conflicts += stats.shared_bank_conflicts;
+    result.max_regs = std::max(result.max_regs, stats.regs_per_thread);
+    result.min_occupancy = std::min(result.min_occupancy, stats.occupancy);
+
+    const std::size_t k = i % prog.kernels.size();  // launches cycle through the kernels
+    const driver::CompiledKernel& ck = prog.kernels[k];
+    KernelMetrics& km = result.kernels[k];
+    km.name = ck.name;
+    km.regs = ck.alloc.regs_used;
+    km.spill_bytes = ck.alloc.spill_bytes;
+    km.shared_spill_bytes = ck.alloc.shared_spill_bytes;
+    km.occupancy = stats.occupancy;
+    km.cycles += stats.cycles;
+  }
+
+  obs::ScopedSpan checksum_span(tracer, "workloads.checksum", "harness");
   result.checksum = checksum_of(data, w.outputs);
+  return result;
+}
+
+RunResult simulate(const Workload& w, const driver::CompilerOptions& opts,
+                   obs::Collector* collector, const vgpu::SimOptions& sim) {
+  const Clock::time_point compile_start = Clock::now();
+  const driver::CompiledProgram prog =
+      driver::Compiler(opts, collector).compile(w.source, w.function);
+  const double compile_ms = ms_since(compile_start);
+  RunResult result = simulate(w, prog, opts.device, collector, sim);
+  result.compile_ms = compile_ms;
   return result;
 }
 
@@ -121,9 +165,7 @@ RunResult run_reference(const Workload& w) {
                                          : program.find(w.function);
   if (!fn) throw CompileError("workload function not found: " + w.function);
 
-  driver::RefArgMap args;
-  for (auto& [name, arr] : data.arrays) args.emplace(name, &arr);
-  for (auto& [name, sv] : data.scalars) args.emplace(name, sv);
+  driver::RefArgMap args = data.ref_args();
   for (int step = 0; step < w.time_steps; ++step) {
     driver::run_reference(*fn, args);
   }

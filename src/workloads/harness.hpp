@@ -1,6 +1,7 @@
-// Execution harness: runs a workload under a compiler configuration on the
-// simulated GPU (or under the CPU reference) and reports the metrics the
-// paper's figures are built from.
+// Execution harness: the one run path from host data to the simulated GPU
+// and back (`run`), used by the workloads, the fuzz oracles, the tests and
+// safcc; and the workload runs on it (or under the CPU reference) that report
+// the metrics the paper's figures are built from.
 #pragma once
 
 #include "driver/compiler.hpp"
@@ -34,9 +35,11 @@ struct RunResult {
   double checksum = 0.0;
   std::vector<KernelMetrics> kernels;
 
-  /// Host wall-clock spent compiling / simulating, for the bench harness's
-  /// speedup tracking. Deliberately excluded from to_json(): tool output
-  /// (e.g. safcc --metrics-out) stays byte-identical across runs.
+  /// Host wall-clock spent compiling / running, for the bench harness's
+  /// speedup tracking. `sim_ms` covers the whole of workloads::run: buffer
+  /// allocation and the copies around the launches as well as the launches.
+  /// Deliberately excluded from to_json(): tool output (e.g. safcc
+  /// --metrics-out) stays byte-identical across runs.
   double compile_ms = 0.0;
   double sim_ms = 0.0;
 
@@ -46,10 +49,31 @@ struct RunResult {
 /// Checksum over the workload's declared output arrays.
 double checksum_of(const Dataset& data, const std::vector<std::string>& outputs);
 
-/// Compiles `w` with `opts` and runs it for `w.time_steps` steps on
-/// `opts.device`, every launch under `sim`. A non-null `collector` observes
-/// both the compilation (pass spans, SAFARA iterations) and every simulated
-/// launch (cycle/stall profiles).
+/// The one code path that runs a compiled program on the simulator. On a
+/// fresh `spec` device it allocates a buffer per array of `data` and copies
+/// it in, launches every kernel `steps` times in program order under `sim`,
+/// and copies every array back into `data`. A program compiled with
+/// `verify_clauses` checks each launch's `dim`/`small` assertions and runs
+/// the clause-ignoring twin when one is false (driver::launch_verified).
+/// Returns one LaunchStats per launch, in launch order. A non-null
+/// `collector` records the copy spans and every launch's profile.
+std::vector<vgpu::LaunchStats> run(const driver::CompiledProgram& prog, Dataset& data,
+                                   const vgpu::DeviceSpec& spec = vgpu::DeviceSpec::k20xm(),
+                                   obs::Collector* collector = nullptr,
+                                   const vgpu::SimOptions& sim = {}, int steps = 1);
+
+/// Runs `prog`, compiled from `w`, for `w.time_steps` steps on `spec` over a
+/// fresh `w.make_dataset()`, every launch under `sim`, and folds the launches
+/// into a RunResult. A non-null `collector` observes every simulated launch
+/// (cycle/stall profiles) and the run's host phases (dataset, copies,
+/// checksum).
+RunResult simulate(const Workload& w, const driver::CompiledProgram& prog,
+                   const vgpu::DeviceSpec& spec, obs::Collector* collector = nullptr,
+                   const vgpu::SimOptions& sim = {});
+
+/// Compiles `w` with `opts` and simulates it on `opts.device` (the overload
+/// above). A non-null `collector` observes the compilation too (pass spans,
+/// SAFARA iterations).
 RunResult simulate(const Workload& w, const driver::CompilerOptions& opts,
                    obs::Collector* collector = nullptr, const vgpu::SimOptions& sim = {});
 

@@ -18,6 +18,7 @@
 
 namespace safara::workloads {
 
+/// Host-side data for one program run: named arrays and named scalars.
 struct Dataset {
   std::map<std::string, driver::HostArray> arrays;
   std::map<std::string, rt::ScalarValue> scalars;
@@ -25,6 +26,15 @@ struct Dataset {
   driver::HostArray& array(const std::string& name) { return arrays.at(name); }
   const driver::HostArray& array(const std::string& name) const {
     return arrays.at(name);
+  }
+
+  /// The CPU reference's arguments: every array by pointer, so the reference
+  /// computes in place, and every scalar by value.
+  driver::RefArgMap ref_args() {
+    driver::RefArgMap args;
+    for (auto& [name, arr] : arrays) args.emplace(name, &arr);
+    for (auto& [name, sv] : scalars) args.emplace(name, sv);
+    return args;
   }
 };
 

@@ -17,7 +17,7 @@ void saxpy(int n, float alpha, float *x, float *y) {
 )";
 
 TEST(EndToEnd, SaxpyBase) {
-  Data data;
+  workloads::Dataset data;
   data.arrays.emplace("x", f32_array({{0, 1000}}));
   data.arrays.emplace("y", f32_array({{0, 1000}}));
   fill_pattern(data.array("x"), 1);
@@ -57,7 +57,7 @@ driver::CompilerOptions config_by_index(int i) {
 }
 
 TEST_P(StencilAllConfigs, MatchesReference) {
-  Data data;
+  workloads::Dataset data;
   data.arrays.emplace("src", f32_array({{0, 64}, {0, 64}}));
   data.arrays.emplace("dst", f32_array({{0, 64}, {0, 64}}));
   fill_pattern(data.array("src"), 7);
@@ -91,7 +91,7 @@ class SeismicAllConfigs : public ::testing::TestWithParam<int> {};
 
 TEST_P(SeismicAllConfigs, MatchesReference) {
   const int nx = 32, nz = 40;
-  Data data;
+  workloads::Dataset data;
   for (const char* name : {"vz1", "vz2", "vz3", "out"}) {
     data.arrays.emplace(name, f32_array({{0, nx}, {0, nz}}));
   }
@@ -124,7 +124,7 @@ TEST(EndToEnd, SafaraRemovesLoads) {
   auto p_base = base.compile(kSeismicLike);
   auto p_saf = saf.compile(kSeismicLike);
 
-  Data data;
+  workloads::Dataset data;
   const int nx = 32, nz = 40;
   for (const char* name : {"vz1", "vz2", "vz3", "out"}) {
     data.arrays.emplace(name, f32_array({{0, nx}, {0, nz}}));
@@ -136,10 +136,10 @@ TEST(EndToEnd, SafaraRemovesLoads) {
   data.scalars.emplace("nz", rt::ScalarValue::of_i32(nz));
   data.scalars.emplace("h", rt::ScalarValue::of_f32(0.5f));
 
-  Data d1 = data.clone();
-  Data d2 = data.clone();
-  auto s_base = run_sim(p_base, d1);
-  auto s_saf = run_sim(p_saf, d2);
+  workloads::Dataset d1 = data;
+  workloads::Dataset d2 = data;
+  auto s_base = workloads::run(p_base, d1);
+  auto s_saf = workloads::run(p_saf, d2);
   EXPECT_GT(p_saf.safara.total_groups(), 0);
   EXPECT_LT(s_saf[0].global_loads, s_base[0].global_loads)
       << "SAFARA should eliminate redundant global loads";

@@ -23,8 +23,8 @@ void f(int n, int m, const float b[n][m], float a[n][m]) {
   }
 })";
 
-Data sweep_data(int n = 20, int m = 37) {
-  Data d;
+workloads::Dataset sweep_data(int n = 20, int m = 37) {
+  workloads::Dataset d;
   d.arrays.emplace("b", f32_array({{0, n}, {0, m}}));
   d.arrays.emplace("a", f32_array({{0, n}, {0, m}}));
   fill_pattern(d.array("b"), 3);
@@ -56,7 +56,7 @@ TEST_P(UnrollFactors, PreservesSemantics) {
   opts.unroll.factor = GetParam();
   // Trip counts chosen to exercise remainder loops of every phase.
   for (int m : {3, 8, 16, 37}) {
-    Data data = sweep_data(12, m);
+    workloads::Dataset data = sweep_data(12, m);
     check_against_reference(kSweep, opts, data, 0.0);
   }
 }
@@ -67,7 +67,7 @@ TEST(Unroll, ComposesWithSafara) {
   driver::CompilerOptions opts = driver::CompilerOptions::openuh_safara_clauses();
   opts.enable_unroll = true;
   opts.unroll.factor = 4;
-  Data data = sweep_data();
+  workloads::Dataset data = sweep_data();
   check_against_reference(kSweep, opts, data, 0.0);
 
   driver::Compiler compiler(opts);
@@ -112,7 +112,7 @@ void f(int n, int m, const float b[n][m], float a[n][m]) {
   driver::CompilerOptions opts = driver::CompilerOptions::openuh_base();
   opts.enable_unroll = true;
   opts.unroll.factor = 3;
-  Data data = sweep_data(10, 17);
+  workloads::Dataset data = sweep_data(10, 17);
   check_against_reference(src, opts, data, 0.0);
 }
 
@@ -195,37 +195,18 @@ TEST(VerifiedLaunch, FallsBackOnShapeMismatch) {
 TEST(VerifiedLaunch, FallbackComputesCorrectResultOnMismatch) {
   // With q shaped differently, the fallback (per-array dope) kernel must
   // still compute the right answer; the optimized kernel would have read q
-  // with p's strides.
-  driver::Compiler compiler(driver::CompilerOptions::openuh_safara_clauses_verified());
-  auto prog = compiler.compile(kDimKernel);
-
-  const int n = 8, mp = 16, mq = 20;
-  VerifiedSetup s;
-  s.add("p", {{0, n}, {0, mp}});
-  s.add("q", {{0, n}, {0, mq}});
-  s.add("o", {{0, n}, {0, mp}});
-  s.args.emplace("n", rt::ScalarValue::of_i32(n));
-  s.args.emplace("m", rt::ScalarValue::of_i32(mp));
-
-  std::vector<float> hp(n * mp), hq(n * mq);
-  for (std::size_t i = 0; i < hp.size(); ++i) hp[i] = float(i % 13);
-  for (std::size_t i = 0; i < hq.size(); ++i) hq[i] = float(i % 7);
-  s.runtime.copy_in<float>(s.buffers.at("p"), hp);
-  s.runtime.copy_in<float>(s.buffers.at("q"), hq);
-
-  auto result = driver::launch_verified(s.runtime, prog, 0, s.args);
-  EXPECT_TRUE(result.used_fallback);
-
-  std::vector<float> out(n * mp);
-  s.runtime.copy_out<float>(s.buffers.at("o"), out);
-  for (int i = 0; i < n; ++i) {
-    for (int k = 0; k < mp; ++k) {
-      float expect = hp[static_cast<std::size_t>(i * mp + k)] +
-                     hq[static_cast<std::size_t>(i * mq + k)];
-      EXPECT_FLOAT_EQ(out[static_cast<std::size_t>(i * mp + k)], expect)
-          << i << "," << k;
-    }
-  }
+  // with p's strides. workloads::run launches a program compiled with
+  // verify_clauses through launch_verified.
+  workloads::Dataset data;
+  data.arrays.emplace("p", f32_array({{0, 8}, {0, 16}}));
+  data.arrays.emplace("q", f32_array({{0, 8}, {0, 20}}));
+  data.arrays.emplace("o", f32_array({{0, 8}, {0, 16}}));
+  fill_pattern(data.array("p"), 13);
+  fill_pattern(data.array("q"), 7);
+  data.scalars.emplace("n", rt::ScalarValue::of_i32(8));
+  data.scalars.emplace("m", rt::ScalarValue::of_i32(16));
+  check_against_reference(kDimKernel,
+                          driver::CompilerOptions::openuh_safara_clauses_verified(), data, 0.0);
 }
 
 TEST(VerifiedLaunch, FailsOnExplicitBoundMismatch) {
@@ -300,7 +281,7 @@ void col(int n, int m, const float a[n][m], float b[n][m]) {
     }
   }
 })";
-  Data data;
+  workloads::Dataset data;
   data.arrays.emplace("a", f32_array({{0, 30}, {0, 50}}));
   data.arrays.emplace("b", f32_array({{0, 30}, {0, 50}}));
   fill_pattern(data.array("a"), 13);

@@ -7,6 +7,7 @@
 // source-tree tests/corpus directory.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -17,6 +18,10 @@
 #include "parse/parser.hpp"
 
 namespace safara::fuzz {
+
+// Names a parameterized test's oracle by its flag spelling.
+void PrintTo(Oracle o, std::ostream* os) { *os << to_string(o); }
+
 namespace {
 
 int line_count(const std::string& s) {
@@ -67,7 +72,7 @@ void fuzz_fn(int n, int m, int c0, float alpha, double beta, float *inA,
   DiagnosticEngine diags;
   ast::Program p = parse::parse_source(src, diags);
   ASSERT_TRUE(diags.ok()) << diags.render();
-  ArgSet args = derive_args(*p.functions[0]);
+  workloads::Dataset args = derive_args(*p.functions[0]);
 
   ASSERT_TRUE(args.scalars.count("n"));
   EXPECT_EQ(args.scalars.at("n").as_int(), 24);
@@ -84,7 +89,7 @@ void fuzz_fn(int n, int m, int c0, float alpha, double beta, float *inA,
   EXPECT_EQ(args.arrays.at("inB").element_count(), 24);
 
   // Fills are name-seeded and deterministic, so two derivations agree.
-  ArgSet again = derive_args(*p.functions[0]);
+  workloads::Dataset again = derive_args(*p.functions[0]);
   EXPECT_EQ(args.arrays.at("inA").data, again.arrays.at("inA").data);
   // Integer fills stay non-negative so `% extent` indexing is safe.
   const driver::HostArray& ints = args.arrays.at("inB");
@@ -185,20 +190,35 @@ TEST(FuzzHarness, InjectedMiscompileIsCaughtAndReduced) {
   EXPECT_EQ(r.status, Status::kDiverged) << d.reduced;
 }
 
-TEST(FuzzHarness, OptVsNooptCatchesInjectedMiscompile) {
-  // Same self-test for the pass-pipeline differential: the mutation lands on
-  // the --opt-level 2 side, so a clean pass here means the oracle really
-  // compares the two pipelines rather than compiling one program twice.
+// Every oracle that takes --inject-miscompile must catch it: the mutation
+// lands on side B of the pair, so a clean pass here means the oracle compiled
+// one program twice instead of comparing its two sides.
+class InjectedMiscompile : public ::testing::TestWithParam<Oracle> {};
+
+TEST_P(InjectedMiscompile, IsCaught) {
   FuzzOptions opts;
   opts.seed = 7;
   opts.count = 1;
-  opts.oracles = {Oracle::kOptVsNoopt};
+  opts.oracles = {GetParam()};
   opts.inject_miscompile = true;
   FuzzReport report = run_fuzz(opts);
   ASSERT_EQ(report.divergences.size(), 1u);
-  EXPECT_EQ(report.divergences[0].oracle, Oracle::kOptVsNoopt);
-  EXPECT_EQ(report.divergences[0].status, Status::kDiverged);
+  EXPECT_EQ(report.divergences[0].oracle, GetParam());
+  EXPECT_EQ(report.divergences[0].status, Status::kDiverged)
+      << report.divergences[0].detail;
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    FuzzHarness, InjectedMiscompile,
+    ::testing::Values(Oracle::kRefVsSim, Oracle::kSafaraOnOff, Oracle::kOptVsNoopt,
+                      Oracle::kLinearVsColor, Oracle::kSpillMem),
+    [](const ::testing::TestParamInfo<Oracle>& info) {
+      std::string name = to_string(info.param);
+      for (char& c : name) {
+        if (c == '-') c = '_';
+      }
+      return name;
+    });
 
 // -- reducer ------------------------------------------------------------------
 

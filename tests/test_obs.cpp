@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <limits>
+#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -210,8 +211,8 @@ void blur(int n, int m, const float src[?][?], float dst[?][?]) {
   }
 })";
 
-Data blur_data(int n, int m) {
-  Data data;
+workloads::Dataset blur_data(int n, int m) {
+  workloads::Dataset data;
   data.arrays.emplace("src", f32_array({{0, n}, {0, m}}));
   data.arrays.emplace("dst", f32_array({{0, n}, {0, m}}));
   fill_pattern(data.array("src"), 7);
@@ -300,8 +301,8 @@ TEST(ObsCompiler, MetricsReportRoundTripsThroughParser) {
   obs::Collector collector;
   driver::Compiler compiler(driver::CompilerOptions::openuh_safara_clauses(), &collector);
   auto prog = compiler.compile(kBlurSource);
-  Data data = blur_data(64, 64);
-  run_sim(prog, data, vgpu::DeviceSpec::k20xm(), &collector);
+  workloads::Dataset data = blur_data(64, 64);
+  workloads::run(prog, data, vgpu::DeviceSpec::k20xm(), &collector);
 
   // The --metrics-out document: numeric counters plus the launch profiles.
   const Value report = collector.report();
@@ -361,12 +362,12 @@ TEST(ObsSim, CyclesIdenticalWithAndWithoutCollector) {
   driver::Compiler compiler(driver::CompilerOptions::openuh_safara_clauses());
   auto prog = compiler.compile(kBlurSource);
 
-  Data plain = blur_data(96, 96);
-  Data observed = plain.clone();
-  auto base_stats = run_sim(prog, plain);
+  workloads::Dataset plain = blur_data(96, 96);
+  workloads::Dataset observed = plain;
+  auto base_stats = workloads::run(prog, plain);
 
   obs::Collector collector;
-  auto obs_stats = run_sim(prog, observed, vgpu::DeviceSpec::k20xm(), &collector);
+  auto obs_stats = workloads::run(prog, observed, vgpu::DeviceSpec::k20xm(), &collector);
 
   ASSERT_EQ(base_stats.size(), obs_stats.size());
   for (std::size_t i = 0; i < base_stats.size(); ++i) {
@@ -408,9 +409,9 @@ TEST(ObsTrace, CounterEventsFollowSpansInChromeTrace) {
 TEST(ObsSim, ProfileAccountingIsSelfConsistent) {
   driver::Compiler compiler(driver::CompilerOptions::openuh_safara_clauses());
   auto prog = compiler.compile(kBlurSource);
-  Data data = blur_data(96, 96);
+  workloads::Dataset data = blur_data(96, 96);
   obs::Collector collector;
-  auto stats = run_sim(prog, data, vgpu::DeviceSpec::k20xm(), &collector);
+  auto stats = workloads::run(prog, data, vgpu::DeviceSpec::k20xm(), &collector);
 
   ASSERT_EQ(collector.sim_profiles.size(), stats.size());
   for (std::size_t i = 0; i < collector.sim_profiles.size(); ++i) {
@@ -454,6 +455,41 @@ TEST(ObsSim, ProfileAccountingIsSelfConsistent) {
     ASSERT_NE(cycles, nullptr);
     EXPECT_EQ(static_cast<std::uint64_t>(cycles->as_int()), stats[i].cycles);
   }
+}
+
+// -- the run path --------------------------------------------------------------
+
+TEST(ObsHarness, SimulateSpansEachHostPhaseOnce) {
+  // The host phases of a workload run sit inside its `workload.simulate`
+  // span: the dataset build, the alloc+copy-in, every launch, the copy-out
+  // and the checksum, so --time-passes leaves little to the parent's self
+  // time.
+  const workloads::Workload* w = workloads::find_workload("303.ostencil");
+  ASSERT_NE(w, nullptr);
+  obs::Collector collector;
+  const workloads::RunResult run = workloads::simulate(
+      *w, driver::CompilerOptions::openuh_base(), &collector, {.threads = 1});
+
+  const std::vector<obs::TraceSpan>& spans = collector.tracer.spans();
+  int simulate = -1;
+  for (std::size_t i = 0; i < spans.size(); ++i) {
+    if (spans[i].name != "workload.simulate") continue;
+    ASSERT_EQ(simulate, -1) << "more than one workload.simulate span";
+    simulate = static_cast<int>(i);
+  }
+  ASSERT_GE(simulate, 0);
+  std::map<std::string, int> inside;
+  for (const obs::TraceSpan& s : spans) {
+    for (int p = s.parent; p >= 0; p = spans[static_cast<std::size_t>(p)].parent) {
+      if (p == simulate) ++inside[s.name];
+    }
+  }
+  for (const char* phase :
+       {"workloads.dataset", "rt.copy_in", "rt.copy_out", "workloads.checksum"}) {
+    EXPECT_EQ(inside[phase], 1) << phase;
+  }
+  EXPECT_EQ(inside["sim.launch"], static_cast<int>(run.kernels.size()) * w->time_steps);
+  EXPECT_GT(w->time_steps, 1);
 }
 
 }  // namespace

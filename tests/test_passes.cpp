@@ -98,7 +98,7 @@ TEST(ScalarReplacement, TransformPreservesSemantics) {
 
   const int n = 16, m = 24;
   auto make_data = [&] {
-    Data d;
+    workloads::Dataset d;
     d.arrays.emplace("b", f32_array({{0, n}, {0, m}}));
     d.arrays.emplace("w", f32_array({{0, n}, {0, m}}));
     d.arrays.emplace("a", f32_array({{0, n}, {0, m}}));
@@ -108,14 +108,14 @@ TEST(ScalarReplacement, TransformPreservesSemantics) {
     d.scalars.emplace("m", rt::ScalarValue::of_i32(m));
     return d;
   };
-  Data d1 = make_data();
-  Data d2 = make_data();
+  workloads::Dataset d1 = make_data();
+  workloads::Dataset d2 = make_data();
   {
-    auto args = ref_args(d1);
+    auto args = d1.ref_args();
     driver::run_reference(plain->fn(), args);
   }
   {
-    auto args = ref_args(d2);
+    auto args = d2.ref_args();
     driver::run_reference(transformed->fn(), args);
   }
   expect_arrays_near(d1.array("a"), d2.array("a"), 0.0, "a");
@@ -162,8 +162,8 @@ void f(int n, int m, const float b[n][m], float a[n][m]) {
 
   // Semantics preserved for a downward-offset group.
   const int n = 8, m = 16;
-  Data d1, d2;
-  for (Data* d : {&d1, &d2}) {
+  workloads::Dataset d1, d2;
+  for (workloads::Dataset* d : {&d1, &d2}) {
     d->arrays.emplace("b", f32_array({{0, n}, {0, m}}));
     d->arrays.emplace("a", f32_array({{0, n}, {0, m}}));
     fill_pattern(d->array("b"), 77);
@@ -180,9 +180,9 @@ void f(int n, int m, const float b[n][m], float a[n][m]) {
     }
   }
 })");
-  auto a1 = ref_args(d1);
+  auto a1 = d1.ref_args();
   driver::run_reference(fresh->fn(), a1);
-  auto a2 = ref_args(d2);
+  auto a2 = d2.ref_args();
   driver::run_reference(c->fn(), a2);
   expect_arrays_near(d1.array("a"), d2.array("a"), 0.0, "a");
 }
@@ -278,7 +278,7 @@ TEST(CarrKennedy, SequentializesParallelLoop) {
 }
 
 TEST(CarrKennedy, StillComputesCorrectResults) {
-  Data data;
+  workloads::Dataset data;
   const int n = 24, m = 96;
   data.arrays.emplace("b", f32_array({{0, n}, {0, m}}));
   data.arrays.emplace("a", f32_array({{0, n}, {0, m}}));

@@ -102,9 +102,9 @@ void f(int n, const float *x, float *s) {
 })", true},
 };
 
-Data make_data(const KernelCase& kc) {
+workloads::Dataset make_data(const KernelCase& kc) {
   const int n = 24, m = 40;
-  Data d;
+  workloads::Dataset d;
   std::string src = kc.source;
   auto add2 = [&](const char* name, std::uint64_t seed) {
     d.arrays.emplace(name, f32_array({{0, n}, {0, m}}));
@@ -154,7 +154,7 @@ class GeneratedKernels : public ::testing::TestWithParam<Param> {};
 TEST_P(GeneratedKernels, P1_MatchesReference) {
   const auto [ki, ci] = GetParam();
   const KernelCase& kc = kCases[ki];
-  Data data = make_data(kc);
+  workloads::Dataset data = make_data(kc);
   // Reductions reassociate under parallel execution.
   double tol = std::string(kc.name) == "reduction" ? 1e-3 : 0.0;
   check_against_reference(kc.source, config_by_index(ci), data, tol);
@@ -319,7 +319,7 @@ TEST(KernelInvariants, P6_SpillingPreservesSemantics) {
   const KernelCase& kc = kCases[1];  // vla_carried
   driver::CompilerOptions opts = driver::CompilerOptions::openuh_base();
   opts.regalloc.max_registers = 16;
-  Data data = make_data(kc);
+  workloads::Dataset data = make_data(kc);
   check_against_reference(kc.source, opts, data, 0.0);
 }
 

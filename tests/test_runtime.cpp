@@ -2,6 +2,7 @@
 // marshalling (dope vectors, type punning), and error reporting.
 #include <gtest/gtest.h>
 
+#include "rt/runtime.hpp"
 #include "tests_common.hpp"
 
 namespace safara::test {
@@ -170,12 +171,12 @@ void f(int n, float *x) {
   #pragma acc parallel loop gang vector(64)
   for (i = 0; i < n; i++) { x[i] = x[i] + 2.0f; }
 })";
-  Data data;
+  workloads::Dataset data;
   data.arrays.emplace("x", f32_array({{0, 128}}));
   data.scalars.emplace("n", rt::ScalarValue::of_i32(128));
   auto prog = compile(src);
   ASSERT_EQ(prog.kernels.size(), 2u);
-  run_sim(prog, data);
+  workloads::run(prog, data);
   for (int i = 0; i < 128; ++i) {
     EXPECT_FLOAT_EQ(static_cast<float>(data.array("x").get(i)), 3.0f);
   }

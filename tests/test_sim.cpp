@@ -19,11 +19,12 @@ namespace {
 
 using vgpu::DeviceSpec;
 
-std::vector<vgpu::LaunchStats> run_kernel(const std::string& src, Data& data,
+std::vector<vgpu::LaunchStats> run_kernel(const std::string& src,
+                                          workloads::Dataset& data,
                                           driver::CompilerOptions opts = {}) {
   driver::Compiler compiler(opts);
   auto prog = compiler.compile(src);
-  return run_sim(prog, data);
+  return workloads::run(prog, data);
 }
 
 // -- functional coverage across operators -------------------------------------
@@ -36,7 +37,7 @@ void f(int n, const int *x, int *y) {
     y[i] = (x[i] * 3 + 7) / 2 - x[i] % 5;
   }
 })";
-  Data data;
+  workloads::Dataset data;
   data.arrays.emplace("x", i32_array({{0, 200}}));
   data.arrays.emplace("y", i32_array({{0, 200}}));
   fill_pattern(data.array("x"), 3);
@@ -52,7 +53,7 @@ void f(int n, const int *x, int *y) {
     y[i] = x[i] / (i - 5) + x[i] % (i - 7);
   }
 })";
-  Data data;
+  workloads::Dataset data;
   data.arrays.emplace("x", i32_array({{0, 32}}));
   data.arrays.emplace("y", i32_array({{0, 32}}));
   fill_pattern(data.array("x"), 5);
@@ -71,7 +72,7 @@ void f(int n, const float *x, float *y) {
          + fabs(-x[i]) + min(x[i], 0.5f) + max(x[i], 0.75f);
   }
 })";
-  Data data;
+  workloads::Dataset data;
   data.arrays.emplace("x", f32_array({{0, 128}}));
   data.arrays.emplace("y", f32_array({{0, 128}}));
   fill_pattern(data.array("x"), 9);
@@ -87,7 +88,7 @@ void f(int n, const double *x, double *y) {
     y[i] = x[i] * 1.000000001 + 1.0e-12;
   }
 })";
-  Data data;
+  workloads::Dataset data;
   data.arrays.emplace("x", f64_array({{0, 100}}));
   data.arrays.emplace("y", f64_array({{0, 100}}));
   fill_pattern(data.array("x"), 21);
@@ -103,7 +104,7 @@ void f(int n, const int *x, int *y) {
     y[i] = (x[i] > 10 && x[i] < 50) + (x[i] == 7 || !(x[i] >= 3));
   }
 })";
-  Data data;
+  workloads::Dataset data;
   data.arrays.emplace("x", i32_array({{0, 96}}));
   data.arrays.emplace("y", i32_array({{0, 96}}));
   fill_pattern(data.array("x"), 17);
@@ -125,7 +126,7 @@ void f(int n, const int *x, float *y) {
     }
   }
 })";
-  Data data;
+  workloads::Dataset data;
   data.arrays.emplace("x", i32_array({{0, 128}}));
   data.arrays.emplace("y", f32_array({{0, 128}}));
   fill_pattern(data.array("x"), 31);
@@ -149,7 +150,7 @@ void f(int n, const int *x, float *y) {
     y[i] = acc;
   }
 })";
-  Data data;
+  workloads::Dataset data;
   data.arrays.emplace("x", i32_array({{0, 64}}));
   data.arrays.emplace("y", f32_array({{0, 64}}));
   fill_pattern(data.array("x"), 41);
@@ -172,7 +173,7 @@ void f(int n, const int *len, float *y) {
     y[i] = acc;
   }
 })";
-  Data data;
+  workloads::Dataset data;
   driver::HostArray len = driver::HostArray::make(ast::ScalarType::kI32, {{0, 64}});
   for (int i = 0; i < 64; ++i) len.set_int(i, i % 9);
   data.arrays.emplace("len", std::move(len));
@@ -188,7 +189,7 @@ void f(int n, float *y) {
   #pragma acc parallel loop gang vector(64)
   for (i = 0; i < n; i++) { y[i] = float(i); }
 })";
-  Data data;
+  workloads::Dataset data;
   data.arrays.emplace("y", f32_array({{0, 50}}));
   data.scalars.emplace("n", rt::ScalarValue::of_i32(50));
   check_against_reference(src, driver::CompilerOptions::openuh_base(), data, 0.0);
@@ -207,12 +208,12 @@ void f(int n, const float *x, float *y) {
   #pragma acc parallel loop gang vector(128)
   for (i = 0; i < n; i++) { y[i] = x[i * 32]; }
 })";
-  Data d1;
+  workloads::Dataset d1;
   d1.arrays.emplace("x", f32_array({{0, 4096}}));
   d1.arrays.emplace("y", f32_array({{0, 4096}}));
   fill_pattern(d1.array("x"), 3);
   d1.scalars.emplace("n", rt::ScalarValue::of_i32(128));
-  Data d2 = d1.clone();
+  workloads::Dataset d2 = d1;
 
   auto s1 = run_kernel(coalesced, d1);
   auto s2 = run_kernel(strided, d2);
@@ -237,7 +238,7 @@ void f(int n, int m, const float a[n][m], float *y) {
     y[i] = acc;
   }
 })";
-  Data data;
+  workloads::Dataset data;
   data.arrays.emplace("a", f32_array({{0, 32}, {0, 64}}));
   data.arrays.emplace("y", f32_array({{0, 32}}));
   fill_pattern(data.array("a"), 5);
@@ -253,7 +254,7 @@ void f(int n, float *x) {
   #pragma acc parallel loop gang vector(64)
   for (i = 0; i < n; i++) { x[i] = x[i] + 1.0f; }
 })";
-  Data data;
+  workloads::Dataset data;
   data.arrays.emplace("x", f32_array({{0, 256}}));
   fill_pattern(data.array("x"), 7);
   data.scalars.emplace("n", rt::ScalarValue::of_i32(256));
@@ -269,7 +270,7 @@ void f(int n, float *sum) {
     sum[0] += 1.0f;
   }
 })";
-  Data data;
+  workloads::Dataset data;
   data.arrays.emplace("sum", f32_array({{0, 1}}));
   data.scalars.emplace("n", rt::ScalarValue::of_i32(5000));
   auto stats = run_kernel(src, data);
@@ -283,12 +284,12 @@ void f(int n, float *x) {
   #pragma acc parallel loop gang vector(64)
   for (i = 0; i < n; i++) { x[i + 1000000] = 1.0f; }
 })";
-  Data data;
+  workloads::Dataset data;
   data.arrays.emplace("x", f32_array({{0, 64}}));
   data.scalars.emplace("n", rt::ScalarValue::of_i32(64));
   driver::Compiler compiler{driver::CompilerOptions::openuh_base()};
   auto prog = compiler.compile(src);
-  EXPECT_THROW(run_sim(prog, data), std::runtime_error);
+  EXPECT_THROW(workloads::run(prog, data), std::runtime_error);
 }
 
 // The warp scheduler keeps one bit per resident warp in a 64-bit word, so a
@@ -301,7 +302,7 @@ void wide(int n, const float *x, float *y) {
   for (i = 0; i < n; i++) { y[i] = x[i] + 1.0f; }
 })";
   auto make_data = [] {
-    Data data;
+    workloads::Dataset data;
     data.arrays.emplace("x", f32_array({{0, 8192}}));
     data.arrays.emplace("y", f32_array({{0, 8192}}));
     fill_pattern(data.array("x"), 4);
@@ -319,17 +320,17 @@ void wide(int n, const float *x, float *y) {
   wide.registers_per_sm *= 4;  // warps and threads, not registers, bound residency
   ASSERT_EQ(vgpu::compute_occupancy(wide, prog.kernels[0].alloc.regs_used, 1024).warps_per_sm,
             128);
-  Data data = make_data();
+  workloads::Dataset data = make_data();
   try {
-    run_sim(prog, data, wide);
+    workloads::run(prog, data, wide);
     ADD_FAILURE() << "a launch keeping 128 warps resident must throw";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find(kernel), std::string::npos) << e.what();
   }
 
   // The same kernel on the paper's device fits (2 blocks of 32 warps).
-  Data fits = make_data();
-  const std::vector<vgpu::LaunchStats> stats = run_sim(prog, fits);
+  workloads::Dataset fits = make_data();
+  const std::vector<vgpu::LaunchStats> stats = workloads::run(prog, fits);
   EXPECT_GT(stats[0].cycles, 0u);
   EXPECT_EQ(static_cast<float>(fits.array("y").get(100)),
             static_cast<float>(fits.array("x").get(100)) + 1.0f);
@@ -428,12 +429,12 @@ void f(int n, const float *x, float *y) {
     y[i] = x[i * 33] + x[i * 33 + 37] + x[i * 33 + 74] + x[i * 33 + 111];
   }
 })";
-  Data d1;
+  workloads::Dataset d1;
   d1.arrays.emplace("x", f32_array({{0, 300000}}));
   d1.arrays.emplace("y", f32_array({{0, 8192}}));
   fill_pattern(d1.array("x"), 2);
   d1.scalars.emplace("n", rt::ScalarValue::of_i32(8192));
-  Data d2 = d1.clone();
+  workloads::Dataset d2 = d1;
   auto s1 = run_kernel(unit, d1);
   auto s2 = run_kernel(scat, d2);
   EXPECT_GT(s2[0].cycles, s1[0].cycles * 3);
@@ -526,14 +527,14 @@ void f(int n, const float *x, float *y) {
   }
 })";
   auto run_once = [&](int threads, obs::Collector* collector) {
-    Data data;
+    workloads::Dataset data;
     data.arrays.emplace("x", f32_array({{0, 4096}}));
     data.arrays.emplace("y", f32_array({{0, 4}}));
     fill_pattern(data.array("x"), 7);
     data.scalars.emplace("n", rt::ScalarValue::of_i32(4096));
     driver::Compiler compiler(driver::CompilerOptions::openuh_base());
     auto prog = compiler.compile(src);
-    auto stats = run_sim(prog, data, vgpu::DeviceSpec::k20xm(), collector,
+    auto stats = workloads::run(prog, data, vgpu::DeviceSpec::k20xm(), collector,
                          {.threads = threads, .check_overlap = true});
     return std::make_pair(stats[0].cycles, data.array("y").get(0));
   };
@@ -560,14 +561,14 @@ void f(int n, const float *x, float *sum) {
   }
 })";
   auto run_once = [&](int threads) {
-    Data data;
+    workloads::Dataset data;
     data.arrays.emplace("x", f32_array({{0, 5000}}));
     data.arrays.emplace("sum", f32_array({{0, 1}}));
     fill_pattern(data.array("x"), 3);
     data.scalars.emplace("n", rt::ScalarValue::of_i32(5000));
     driver::Compiler compiler(driver::CompilerOptions::openuh_base());
     auto prog = compiler.compile(src);
-    run_sim(prog, data, vgpu::DeviceSpec::k20xm(), nullptr, {.threads = threads});
+    workloads::run(prog, data, vgpu::DeviceSpec::k20xm(), nullptr, {.threads = threads});
     return data.array("sum").get(0);
   };
   const double seq = run_once(1);

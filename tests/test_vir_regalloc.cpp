@@ -492,7 +492,7 @@ TEST(RegallocEndToEnd, SpilledKernelStillComputesCorrectResults) {
   // the CPU reference bit-for-bit. This is the path the VIR pipeline's
   // pressure reductions are meant to keep cold.
   const int n = 16, m = 24;
-  Data data;
+  workloads::Dataset data;
   data.arrays.emplace("b", f32_array({{0, n}, {0, m}}));
   data.arrays.emplace("a", f32_array({{0, n}, {0, m}}));
   fill_pattern(data.array("b"), 11);
@@ -515,7 +515,7 @@ TEST(RegallocEndToEnd, SpilledKernelStillComputesCorrectResults) {
 
 TEST(RegallocEndToEnd, SpillTrafficShowsUpInLaunchStats) {
   const int n = 16, m = 24;
-  Data data;
+  workloads::Dataset data;
   data.arrays.emplace("b", f32_array({{0, n}, {0, m}}));
   data.arrays.emplace("a", f32_array({{0, n}, {0, m}}));
   fill_pattern(data.array("b"), 3);
@@ -527,7 +527,7 @@ TEST(RegallocEndToEnd, SpillTrafficShowsUpInLaunchStats) {
   opts.regalloc.max_registers = 12;
   driver::Compiler compiler(opts);
   driver::CompiledProgram prog = compiler.compile(kSpillStress);
-  auto stats = run_sim(prog, data);
+  auto stats = workloads::run(prog, data);
   std::uint64_t spill_accesses = 0;
   for (const auto& s : stats) spill_accesses += s.spill_accesses;
   EXPECT_GT(spill_accesses, 0u)

@@ -76,6 +76,42 @@ TEST(Harness, SimulateRunsOnTheOptionsDevice) {
   EXPECT_GT(simulate(*w, seven_sms).cycles, simulate(*w, driver::CompilerOptions{}).cycles);
 }
 
+TEST(Harness, SimulateRunsTheFallbackWhenAClausePromiseIsFalse) {
+  // The two-version scheme (end of Section IV): `q` is [8][20] while the dim
+  // group promises every array is [n][m] = [8][16]. Compiled with
+  // verify_clauses, the run must take the clause-ignoring twin and match the
+  // reference instead of reading `q` with `p`'s strides.
+  Workload w;
+  w.name = "dim_violation";
+  w.source = R"(
+void f(int n, int m, const float p[?][?], const float q[?][?], float o[?][?]) {
+  #pragma acc parallel loop gang vector(64) dim((0:n, 0:m)(p, q, o)) small(p, q, o)
+  for (i = 0; i < n; i++) {
+    #pragma acc loop seq
+    for (k = 0; k < m; k++) {
+      o[i][k] = p[i][k] + q[i][k];
+    }
+  }
+})";
+  w.outputs = {"o"};
+  w.make_dataset = [] {
+    Dataset d;
+    for (const auto& [name, cols] : {std::pair{"p", 16}, {"q", 20}, {"o", 16}}) {
+      d.arrays.emplace(name,
+                       driver::HostArray::make(ast::ScalarType::kF32, {{0, 8}, {0, cols}}));
+    }
+    fill(d.array("p"), 1);
+    fill(d.array("q"), 2);
+    d.scalars.emplace("n", rt::ScalarValue::of_i32(8));
+    d.scalars.emplace("m", rt::ScalarValue::of_i32(16));
+    return d;
+  };
+  const RunResult sim =
+      simulate(w, driver::CompilerOptions::openuh_safara_clauses_verified(), nullptr,
+               {.threads = 1});
+  EXPECT_DOUBLE_EQ(sim.checksum, run_reference(w).checksum);
+}
+
 TEST(Workloads, RegistryIsComplete) {
   EXPECT_EQ(all_workloads().size(), 16u);
   EXPECT_EQ(spec_suite().size(), 10u);

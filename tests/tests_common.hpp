@@ -1,66 +1,18 @@
-// Shared helpers for the test suite: compile ACC-C, run on the simulator,
-// run the CPU reference, and compare.
+// Shared helpers for the test suite: compile ACC-C, run on the simulator
+// (workloads::run, the one run path), run the CPU reference, and compare.
 #pragma once
 
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <map>
 #include <string>
 
 #include "driver/compiler.hpp"
 #include "driver/reference.hpp"
-#include "obs/collector.hpp"
 #include "parse/parser.hpp"
-#include "rt/runtime.hpp"
+#include "workloads/harness.hpp"
 
 namespace safara::test {
-
-/// Host-side data for one run: named arrays + named scalars.
-struct Data {
-  std::map<std::string, driver::HostArray> arrays;
-  std::map<std::string, rt::ScalarValue> scalars;
-
-  driver::HostArray& array(const std::string& name) { return arrays.at(name); }
-
-  Data clone() const { return *this; }
-};
-
-inline driver::RefArgMap ref_args(Data& d) {
-  driver::RefArgMap args;
-  for (auto& [name, arr] : d.arrays) args.emplace(name, &arr);
-  for (auto& [name, sv] : d.scalars) args.emplace(name, sv);
-  return args;
-}
-
-/// Runs every kernel of `prog` once under `sim`, with `data` arrays living on
-/// the simulated device; results are copied back into `data`.
-inline std::vector<vgpu::LaunchStats> run_sim(const driver::CompiledProgram& prog,
-                                              Data& data,
-                                              vgpu::DeviceSpec spec = vgpu::DeviceSpec::k20xm(),
-                                              obs::Collector* collector = nullptr,
-                                              const vgpu::SimOptions& sim = {}) {
-  rt::Device dev(spec);
-  rt::Runtime runtime(dev, sim);
-  std::map<std::string, rt::Buffer> buffers;
-  rt::ArgMap args;
-  for (auto& [name, arr] : data.arrays) {
-    rt::Buffer buf = runtime.alloc(arr.elem, arr.dims);
-    dev.memory().copy_in(buf.device_addr, arr.data.data(), arr.data.size());
-    buffers.emplace(name, buf);
-  }
-  for (auto& [name, buf] : buffers) args.emplace(name, &buf);
-  for (auto& [name, sv] : data.scalars) args.emplace(name, sv);
-
-  std::vector<vgpu::LaunchStats> stats;
-  for (const driver::CompiledKernel& k : prog.kernels) {
-    stats.push_back(runtime.launch(k.kernel, k.alloc, k.plan, args, collector));
-  }
-  for (auto& [name, arr] : data.arrays) {
-    dev.memory().copy_out(buffers.at(name).device_addr, arr.data.data(), arr.data.size());
-  }
-  return stats;
-}
 
 /// Element-wise comparison of an array across two datasets.
 inline void expect_arrays_near(const driver::HostArray& a, const driver::HostArray& b,
@@ -78,20 +30,20 @@ inline void expect_arrays_near(const driver::HostArray& a, const driver::HostArr
 /// Compiles with `opts`, runs on the simulator, and checks every array in
 /// `data` against the sequential reference. Returns the simulator stats.
 inline std::vector<vgpu::LaunchStats> check_against_reference(
-    const std::string& source, const driver::CompilerOptions& opts, const Data& data,
-    double rel_tol = 1e-6) {
+    const std::string& source, const driver::CompilerOptions& opts,
+    const workloads::Dataset& data, double rel_tol = 1e-6) {
   driver::Compiler compiler(opts);
   driver::CompiledProgram prog = compiler.compile(source);
 
-  Data sim_data = data.clone();
-  auto stats = run_sim(prog, sim_data);
+  workloads::Dataset sim_data = data;
+  auto stats = workloads::run(prog, sim_data);
 
-  Data ref_data = data.clone();
+  workloads::Dataset ref_data = data;
   {
     DiagnosticEngine diags;
     ast::Program program = parse::parse_source(source, diags);
     if (!diags.ok()) throw CompileError(diags.render());
-    driver::RefArgMap args = ref_args(ref_data);
+    driver::RefArgMap args = ref_data.ref_args();
     driver::run_reference(*program.functions.front(), args);
   }
 

@@ -340,16 +340,16 @@ void diff_json(const obs::json::Value& a, const obs::json::Value& b, const std::
   }
 }
 
-/// Runs the workload once per dispatch engine and hard-fails (exit 1) on any
-/// divergence in stats, profiles, or checksums.
-int run_sim_compare(const workloads::Workload& w, const driver::CompilerOptions& opts,
-                    vgpu::SimOptions sim) {
+/// Runs the compiled workload once per dispatch engine and hard-fails (exit
+/// 1) on any divergence in stats, profiles, or checksums.
+int run_sim_compare(const workloads::Workload& w, const driver::CompiledProgram& prog,
+                    const vgpu::DeviceSpec& spec, vgpu::SimOptions sim) {
   obs::Collector c_super;
   sim.dispatch = vgpu::SimDispatch::kSuper;
-  workloads::RunResult r_super = workloads::simulate(w, opts, &c_super, sim);
+  workloads::RunResult r_super = workloads::simulate(w, prog, spec, &c_super, sim);
   obs::Collector c_ref;
   sim.dispatch = vgpu::SimDispatch::kRef;
-  workloads::RunResult r_ref = workloads::simulate(w, opts, &c_ref, sim);
+  workloads::RunResult r_ref = workloads::simulate(w, prog, spec, &c_ref, sim);
 
   std::vector<std::string> diffs;
   diff_json(compare_doc(r_super, c_super), compare_doc(r_ref, c_ref), "", diffs);
@@ -520,14 +520,15 @@ int main(int argc, char** argv) {
       }
       input_label = w->name;
       source_text = w->source;
+      driver::Compiler compiler(opts, observing ? &collector : nullptr);
+      prog = compiler.compile(w->source, w->function);
       // Dedicated mode: run both dispatch engines and diff their results.
-      if (sim_compare) return run_sim_compare(*w, opts, run.sim);
+      if (sim_compare) return run_sim_compare(*w, prog, opts.device, run.sim);
       if (profiling || simulate) {
-        run_result = workloads::simulate(*w, opts, observing ? &collector : nullptr, run.sim);
+        run_result = workloads::simulate(*w, prog, opts.device,
+                                         observing ? &collector : nullptr, run.sim);
         ran_workload = true;
       }
-      driver::Compiler compiler(opts, ran_workload || !observing ? nullptr : &collector);
-      prog = compiler.compile(w->source, w->function);
     } else {
       std::ifstream in(path);
       if (!in) {
