@@ -310,13 +310,17 @@ void sp(int nx, int ny, int nz, float dt,
       }
     }
   }
-  // HOT3: single-array y-sweep (dim NA; read/write).
+  // HOT3: single-array y-sweep (dim NA; read/write). Each point reads its
+  // j-1/j-2 neighbours after this sweep updated them and its j+1/j+2
+  // neighbours before, so j carries a dependence: j is the sequential loop
+  // (as in SP's y-solve), never a gang or vector loop, whose iterations run
+  // in no fixed order.
   #pragma acc parallel loop gang small(u1)
-  for (j = 2; j < ny - 2; j++) {
+  for (k = 1; k < nz - 1; k++) {
     #pragma acc loop gang vector(64)
     for (i = 1; i < nx - 1; i++) {
       #pragma acc loop seq
-      for (k = 1; k < nz - 1; k++) {
+      for (j = 2; j < ny - 2; j++) {
         u1[i][j][k] = u1[i][j][k] - 0.1f * (u1[i][j-2][k] + u1[i][j+2][k])
                     + 0.05f * (u1[i][j-1][k] + u1[i][j+1][k]);
       }

@@ -183,7 +183,8 @@ TEST(GoldenVir, FuzzDigestsMatch) {
 // `safcc --workload W --config C --sim-threads 1 --sim-profile-out F` writes,
 // and this rebuilds each document the way safcc does. The per-SM and per-pc
 // issue and stall attribution and the warp timelines it holds are what a
-// scheduler change must leave alone. One sim thread: 356.sp races across SMs.
+// scheduler change must leave alone. One sim thread is the cheapest; more
+// write the same documents (SimDeterminism.* in test_sim.cpp).
 TEST(GoldenSimProfile, DigestsMatch) {
   bool ok = false;
   const std::string text =

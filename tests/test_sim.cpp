@@ -515,6 +515,33 @@ TEST(SimDeterminism, AllWorkloadsBitIdenticalAcrossThreadCounts) {
   }
 }
 
+TEST(SimDeterminism, NoShippedWorkloadTripsTheOverlapChecker) {
+  // The bit-identity tests above hold only for race-free kernels, and an
+  // assert-enabled build arms the overlap checker by default, which hides a
+  // race from them by running the racy launch sequentially. Arming it
+  // explicitly sees a cross-SM race in every build type: a shipped workload
+  // whose gangs touch memory another gang writes breaks OpenACC's
+  // independence rule for parallel loops.
+  const int hw = static_cast<int>(std::thread::hardware_concurrency());
+  const vgpu::SimOptions sim{.threads = std::max(4, hw), .check_overlap = true};
+  std::int64_t parallel_launches = 0;
+  for (const workloads::Workload& w : workloads::all_workloads()) {
+    SCOPED_TRACE(w.name);
+    for (const auto& [config, opts] :
+         {std::pair{"openuh_base", driver::CompilerOptions::openuh_base()},
+          std::pair{"openuh_safara_clauses", driver::CompilerOptions::openuh_safara_clauses()}}) {
+      SCOPED_TRACE(config);
+      obs::Collector collector;
+      workloads::simulate(w, opts, &collector, sim);
+      EXPECT_EQ(collector.metrics.counter("sim.overlap_fallbacks"), 0);
+      parallel_launches += collector.metrics.counter("sim.parallel_launches");
+    }
+  }
+  // The checker runs only on parallel launches; without any, this test
+  // would pass without checking anything.
+  EXPECT_GT(parallel_launches, 0);
+}
+
 TEST(SimDeterminism, OverlappingWritesFallBackToSequential) {
   // Every thread writes y[0], so blocks on different SMs share a written
   // granule: the overlap checker must veto the parallel path and the launch

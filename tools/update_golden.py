@@ -47,7 +47,8 @@ DIGEST_HEADER = (
     "#   <seed> <config> <hash>\n"
     "# Regenerate with: python3 tools/update_golden.py --bless\n")
 
-# One sim thread: 356.sp races across SMs at more (ROADMAP item 1).
+# One sim thread, the cheapest: every shipped workload is race-free, so more
+# threads write the same documents (tests/test_sim.cpp, SimDeterminism.*).
 SIM_WORKLOADS = ("303.ostencil", "304.olbm", "314.omriq", "350.md", "352.ep",
                  "353.clvrleaf", "354.cg", "355.seismic", "356.sp", "363.swim",
                  "EP", "CG", "MG", "SP", "LU", "BT")
