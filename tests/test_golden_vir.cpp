@@ -152,30 +152,41 @@ std::string fnv1a_hex(const std::string& bytes) {
 
 // The fuzz corpus's optimized VIR, pinned by hash: tools/update_golden.py
 // writes one `<seed> <config> <fnv1a64>` line per pair from safcc's
-// --dump-vir, and this recomputes each hash through driver::dump_vir().
+// --dump-vir, plus one `<seed> <config> <cap> <fnv1a64>` line per triple
+// compiled with `--max-regs <cap>` (the spilling allocations), and this
+// recomputes each hash through driver::dump_vir().
 TEST(GoldenVir, FuzzDigestsMatch) {
   bool ok = false;
   const std::string text = read_file(std::string(SAFARA_GOLDEN_DIR) + "/fuzz_vir.digest", &ok);
   ASSERT_TRUE(ok) << "missing fuzz_vir.digest (run tools/update_golden.py --bless)";
   std::istringstream lines(text);
   std::string line;
-  int checked = 0;
+  int checked = 0, capped = 0;
   while (std::getline(lines, line)) {
     if (line.empty() || line[0] == '#') continue;
     std::istringstream fields(line);
     std::uint64_t seed = 0;
-    std::string config, expected;
+    std::string config, expected, hash;
     ASSERT_TRUE(static_cast<bool>(fields >> seed >> config >> expected)) << line;
-    SCOPED_TRACE("seed " + std::to_string(seed) + " " + config);
-    const std::optional<driver::CompilerOptions> opts = driver::named_config(config);
+    int cap = 0;
+    if (fields >> hash) {
+      cap = std::stoi(expected);
+      expected = hash;
+      ++capped;
+    }
+    SCOPED_TRACE("seed " + std::to_string(seed) + " " + config +
+                 (cap > 0 ? " cap " + std::to_string(cap) : ""));
+    std::optional<driver::CompilerOptions> opts = driver::named_config(config);
     ASSERT_TRUE(opts) << "unknown config '" << config << "' in fuzz_vir.digest";
+    if (cap > 0) opts->regalloc.max_registers = cap;
     driver::CompiledProgram prog;
     ASSERT_NO_THROW(prog = driver::Compiler(*opts).compile(fuzz::generate_program(seed)));
     EXPECT_EQ(fnv1a_hex(driver::dump_vir(prog)), expected)
         << "if intentional: python3 tools/update_golden.py --bless";
     ++checked;
   }
-  EXPECT_EQ(checked, 200);
+  EXPECT_EQ(checked, 400);
+  EXPECT_EQ(capped, 200);
 }
 
 // The simulator's observable schedule, pinned by hash: tools/update_golden.py

@@ -450,6 +450,130 @@ TEST(Regalloc, PtxasInfoFormat) {
   EXPECT_NE(line.find("registers"), std::string::npos);
 }
 
+// -- coloring edges -------------------------------------------------------------
+
+TEST(RegallocColor, OddCapLeavesNoPairForTheLastUnit) {
+  // `d` (f64) is live across `x` and `y`. Select gives `y` unit 0 before it
+  // reaches `d`, so the only pair left for `d` is 2..3: an odd cap of 3 cuts
+  // it in half and `d` spills although units 1 and 2 are free. At cap 4 it
+  // takes 2..3.
+  KB b;
+  auto d = b.reg(VType::kF64);
+  auto x = b.reg(VType::kI32);
+  auto y = b.reg(VType::kI32);
+  auto e = b.reg(VType::kF64);
+  b.emit(Opcode::kMovImmF, VType::kF64, d).fimm = 1.0;  // 0
+  b.emit(Opcode::kMovImmI, VType::kI32, x).imm = 1;     // 1
+  b.emit(Opcode::kAdd, VType::kI32, y, x, x);           // 2: x dies, y is never read
+  b.emit(Opcode::kAdd, VType::kF64, e, d, d);           // 3: d dies
+  b.emit(Opcode::kExit, VType::kI32);
+
+  regalloc::AllocatorOptions opts;
+  opts.max_registers = 3;
+  const auto odd = regalloc::allocate_color(b.k, opts);
+  EXPECT_TRUE(odd.spilled[d]);
+  EXPECT_EQ(odd.spills, 1);
+  EXPECT_EQ(odd.iterations, 2);
+  for (const regalloc::LiveRange& r : odd.ranges) {
+    if (r.first_unit >= 0) {
+      EXPECT_LE(r.first_unit + r.units, 3) << "vreg " << r.vreg;
+    }
+  }
+
+  opts.max_registers = 4;
+  const auto even = regalloc::allocate_color(b.k, opts);
+  EXPECT_FALSE(even.any_spills());
+  EXPECT_EQ(even.regs_used, 4);
+}
+
+/// `a` is copied into `b` at its last use; `x` interferes only with `a` and
+/// `y` only with `b`, so the merged node would have two neighbours.
+Kernel copy_between_two_neighbours() {
+  KB b;
+  auto a = b.reg(VType::kI32);
+  auto x = b.reg(VType::kI32);
+  auto c = b.reg(VType::kI32);
+  auto y = b.reg(VType::kI32);
+  b.emit(Opcode::kMovImmI, VType::kI32, a).imm = 1;    // 0
+  b.emit(Opcode::kMovImmI, VType::kI32, x).imm = 2;    // 1: x meets a
+  b.emit(Opcode::kStGlobal, VType::kI32, kNoReg, x, x);  // 2: x dies
+  b.emit(Opcode::kMov, VType::kI32, c, a);             // 3: a dies into c
+  b.emit(Opcode::kMovImmI, VType::kI32, y).imm = 3;    // 4: y meets c
+  b.emit(Opcode::kStGlobal, VType::kI32, kNoReg, y, c);  // 5
+  b.emit(Opcode::kExit, VType::kI32);
+  return b.k;
+}
+
+TEST(RegallocColor, CopyPairCoalescesWhenTheMergedNodeFits) {
+  const Kernel k = copy_between_two_neighbours();
+  regalloc::AllocatorOptions opts;
+  opts.max_registers = 3;  // two neighbours + itself
+  const auto res = regalloc::allocate_color(k, opts);
+  EXPECT_EQ(res.coalesced, 1);
+  EXPECT_FALSE(res.any_spills());
+  int unit_a = -1, unit_c = -1;
+  for (const regalloc::LiveRange& r : res.ranges) {
+    if (r.vreg == 0) unit_a = r.first_unit;
+    if (r.vreg == 2) unit_c = r.first_unit;
+  }
+  EXPECT_GE(unit_a, 0);
+  EXPECT_EQ(unit_a, unit_c) << "both sides of the mov share one register";
+}
+
+TEST(RegallocColor, CopyPairStaysApartWhenTheMergedNodeWouldNotFit) {
+  // At cap 2 the merged node (two neighbours + itself) is not trivially
+  // colorable, so the conservative test refuses the merge even though the
+  // uncoalesced graph colors with two registers.
+  const Kernel k = copy_between_two_neighbours();
+  regalloc::AllocatorOptions opts;
+  opts.max_registers = 2;
+  const auto res = regalloc::allocate_color(k, opts);
+  EXPECT_EQ(res.coalesced, 0);
+  EXPECT_FALSE(res.any_spills());
+  EXPECT_EQ(res.regs_used, 2);
+  EXPECT_EQ(res.iterations, 1);
+}
+
+/// Three i32 values live together (a clique) with `uses[v]` reads each, so a
+/// cap of 2 blocks simplify on the first pick.
+Kernel three_way_clique(const int (&uses)[3]) {
+  KB b;
+  std::uint32_t v[3];
+  for (int i = 0; i < 3; ++i) {
+    v[i] = b.reg(VType::kI32);
+    b.emit(Opcode::kLdParam, VType::kI32, v[i]).imm = i;  // not rematerializable
+  }
+  // Every value stays live until its last read below, after all three exist.
+  for (int round = 0; round < 3; ++round) {
+    for (int i = 0; i < 3; ++i) {
+      if (round < uses[i]) b.emit(Opcode::kStGlobal, VType::kI32, kNoReg, v[i], v[i]);
+    }
+  }
+  b.emit(Opcode::kExit, VType::kI32);
+  return b.k;
+}
+
+TEST(RegallocColor, OptimisticPushTakesTheCheapestRep) {
+  // Stuck at once; the pushed rep is colored last, finds both units taken
+  // and is the one vreg that spills.
+  const Kernel k = three_way_clique({3, 1, 2});
+  regalloc::AllocatorOptions opts;
+  opts.max_registers = 2;
+  const auto res = regalloc::allocate_color(k, opts);
+  EXPECT_EQ(res.spills, 1);
+  EXPECT_TRUE(res.spilled[1]) << "vreg 1 has the fewest accesses";
+  EXPECT_EQ(res.regs_used, 2);
+}
+
+TEST(RegallocColor, OptimisticPushBreaksCostTiesByLowestIndex) {
+  const Kernel k = three_way_clique({2, 2, 2});
+  regalloc::AllocatorOptions opts;
+  opts.max_registers = 2;
+  const auto res = regalloc::allocate_color(k, opts);
+  EXPECT_EQ(res.spills, 1);
+  EXPECT_TRUE(res.spilled[0]) << "equal costs: the lowest rep index is pushed";
+}
+
 TEST(Vir, DisassemblyMentionsEveryOpcode) {
   KB b;
   auto r = b.reg(VType::kF32);

@@ -9,8 +9,12 @@ printing a unified diff for any mismatch (exit 1).
 It also pins the fuzz corpus: `fuzz_vir.digest` holds one line per
 (seed, config) for the FUZZ_SEEDS x FUZZ_CONFIGS grid, the FNV-1a 64 hash
 of `safcc <program> --config <config> --dump-vir` on the program
-`safcc-fuzz --emit-seed <seed>` prints. `GoldenVir.FuzzDigestsMatch`
-recomputes the same hashes in-process.
+`safcc-fuzz --emit-seed <seed>` prints, and one line per (seed, config, cap)
+for the FUZZ_SEEDS x FUZZ_CAPPED_CONFIGS x FUZZ_CAPS grid, the same hash
+with `--max-regs <cap>` added. No fuzz kernel spills at the default cap;
+the capped lines pin the allocator's spill rounds, its remat discount and
+its optimistic push. `GoldenVir.FuzzDigestsMatch` recomputes the same
+hashes in-process.
 
 It pins the simulator's observable schedule: `sim_profile.digest` holds one
 line per (workload, config) for the SIM_WORKLOADS x SIM_CONFIGS grid, the
@@ -41,10 +45,14 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 FUZZ_SEEDS = range(1, 51)
 FUZZ_CONFIGS = ("base", "safara", "safara_clauses", "pgi")
+FUZZ_CAPPED_CONFIGS = ("base", "safara_clauses")
+FUZZ_CAPS = (16, 8)
 DIGEST_HEADER = (
     "# FNV-1a 64 of `safcc <program> --config <config> --dump-vir`, where\n"
     "# <program> is `safcc-fuzz --emit-seed <seed>`. One line per pair:\n"
     "#   <seed> <config> <hash>\n"
+    "# then one line per capped triple, compiled with `--max-regs <cap>` too:\n"
+    "#   <seed> <config> <cap> <hash>\n"
     "# Regenerate with: python3 tools/update_golden.py --bless\n")
 
 # One sim thread, the cheapest: every shipped workload is race-free, so more
@@ -69,7 +77,10 @@ def fnv1a64(data):
 
 def fuzz_digest(safcc, safcc_fuzz):
     """The digest file's text, or None after printing a tool failure."""
+    grid = [(config, None) for config in FUZZ_CONFIGS]
+    capped = [(config, cap) for cap in FUZZ_CAPS for config in FUZZ_CAPPED_CONFIGS]
     lines = [DIGEST_HEADER]
+    capped_lines = []
     with tempfile.TemporaryDirectory() as tmp:
         program = os.path.join(tmp, "fuzz.acc")
         for seed in FUZZ_SEEDS:
@@ -80,15 +91,19 @@ def fuzz_digest(safcc, safcc_fuzz):
                 return None
             with open(program, "wb") as f:
                 f.write(emit.stdout)
-            for config in FUZZ_CONFIGS:
-                proc = subprocess.run([safcc, program, "--config", config, "--dump-vir"],
-                                      capture_output=True)
+            for config, cap in grid + capped:
+                cmd = [safcc, program, "--config", config, "--dump-vir"]
+                if cap is not None:
+                    cmd += ["--max-regs", str(cap)]
+                proc = subprocess.run(cmd, capture_output=True)
+                name = config if cap is None else f"{config} {cap}"
                 if proc.returncode != 0:
-                    print(f"FAIL fuzz seed {seed} {config}: safcc exited "
+                    print(f"FAIL fuzz seed {seed} {name}: safcc exited "
                           f"{proc.returncode}:\n{proc.stderr.decode()}", file=sys.stderr)
                     return None
-                lines.append(f"{seed} {config} {fnv1a64(proc.stdout):016x}\n")
-    return "".join(lines)
+                line = f"{seed} {name} {fnv1a64(proc.stdout):016x}\n"
+                (lines if cap is None else capped_lines).append(line)
+    return "".join(lines + capped_lines)
 
 
 def sim_profile_digest(safcc):
