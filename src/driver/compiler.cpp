@@ -412,6 +412,9 @@ CompiledProgram Compiler::compile(const ast::Function& fn) {
       collector_->metrics.add("vir.dce_removed", ck.vir_stats.dce_removed);
       collector_->metrics.add("vir.strength_reduced", ck.vir_stats.strength_reduced);
       collector_->metrics.add("vir.sched_moves", ck.vir_stats.sched_moves);
+      collector_->metrics.add("vir.pipeline_iterations", ck.vir_stats.pipeline_iterations);
+      collector_->metrics.add("vir.dom_builds", ck.vir_stats.dom_builds);
+      collector_->metrics.add("vir.liveness_runs", ck.vir_stats.liveness_runs);
       collector_->metrics.set("vir.phi_count." + ck.name, ck.vir_stats.phi_count);
       collector_->metrics.set("vir.regs_before." + ck.name, ck.vir_stats.pressure_before);
       collector_->metrics.set("vir.regs_after." + ck.name, ck.vir_stats.pressure_after);

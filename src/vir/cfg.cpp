@@ -9,8 +9,9 @@ namespace {
 /// Like liveness.cpp's build_cfg, but every label position is also a block
 /// leader, so no instruction range spans a point the SIMT interpreter can
 /// transfer control to. Blocks are never empty: each leader is a real
-/// instruction index and a block runs to the next leader.
-std::vector<BasicBlock> build_label_blocks(const Kernel& k) {
+/// instruction index and a block runs to the next leader. Fills the blocks,
+/// their successor edges and `block_of`.
+void build_label_blocks(const Kernel& k, Cfg& cfg) {
   const std::int32_t n = static_cast<std::int32_t>(k.code.size());
   std::vector<char> leader(static_cast<std::size_t>(n), 0);
   if (n > 0) leader[0] = 1;
@@ -28,23 +29,14 @@ std::vector<BasicBlock> build_label_blocks(const Kernel& k) {
     }
   }
 
-  std::vector<BasicBlock> blocks;
+  cfg.blocks.clear();
   for (std::int32_t i = 0; i < n; ++i) {
     if (leader[static_cast<std::size_t>(i)]) {
-      if (!blocks.empty()) blocks.back().end = i;
-      blocks.push_back({i, n, {}});
+      if (!cfg.blocks.empty()) cfg.blocks.back().end = i;
+      cfg.blocks.push_back({i, n, {}});
     }
   }
-  return blocks;
-}
-
-}  // namespace
-
-Cfg build_dominator_cfg(const Kernel& k) {
-  Cfg cfg;
-  cfg.blocks = build_label_blocks(k);
   const std::size_t nb = cfg.blocks.size();
-  const std::int32_t n = static_cast<std::int32_t>(k.code.size());
 
   cfg.block_of.assign(static_cast<std::size_t>(n), -1);
   for (std::size_t b = 0; b < nb; ++b) {
@@ -67,7 +59,12 @@ Cfg build_dominator_cfg(const Kernel& k) {
       if (b + 1 < nb) bb.succs.push_back(static_cast<std::int32_t>(b + 1));
     }
   }
+}
 
+/// Predecessors, reachability, the dominator tree (iterative bitset
+/// dataflow — the CFGs are tiny) and dominance frontiers of `cfg.blocks`.
+void build_dominators(Cfg& cfg) {
+  const std::size_t nb = cfg.blocks.size();
   cfg.preds.assign(nb, {});
   for (std::size_t b = 0; b < nb; ++b) {
     for (std::int32_t s : cfg.blocks[b].succs) {
@@ -100,7 +97,7 @@ Cfg build_dominator_cfg(const Kernel& k) {
   cfg.idom.assign(nb, -1);
   cfg.dom_children.assign(nb, {});
   cfg.dom_frontier.assign(nb, {});
-  if (nb == 0) return cfg;
+  if (nb == 0) return;
 
   const std::size_t words = (nb + 63) / 64;
   std::vector<std::uint64_t> dom(nb * words, ~0ull);
@@ -179,7 +176,56 @@ Cfg build_dominator_cfg(const Kernel& k) {
     std::sort(df.begin(), df.end());
     df.erase(std::unique(df.begin(), df.end()), df.end());
   }
+}
+
+}  // namespace
+
+Cfg build_dominator_cfg(const Kernel& k) {
+  Cfg cfg;
+  build_label_blocks(k, cfg);
+  build_dominators(cfg);
   return cfg;
+}
+
+void Analyses::sync_blocks() {
+  if (blocks_fresh_) return;
+  Cfg next;
+  build_label_blocks(k_, next);
+  // The same blocks with the same successor lists are the same graph, so
+  // its dominator tree carries over; only the boundaries moved.
+  bool same = dom_fresh_ && next.blocks.size() == cfg_.blocks.size();
+  for (std::size_t b = 0; same && b < next.blocks.size(); ++b) {
+    same = next.blocks[b].succs == cfg_.blocks[b].succs;
+  }
+  dom_fresh_ = same;
+  cfg_.blocks = std::move(next.blocks);
+  cfg_.block_of = std::move(next.block_of);
+  blocks_fresh_ = true;
+}
+
+const Cfg& Analyses::cfg() {
+  sync_blocks();
+  if (!dom_fresh_) {
+    build_dominators(cfg_);
+    dom_fresh_ = true;
+    ++dom_builds_;
+  }
+  return cfg_;
+}
+
+const std::vector<BasicBlock>& Analyses::blocks() {
+  sync_blocks();
+  return cfg_.blocks;
+}
+
+const BlockLiveness& Analyses::liveness() {
+  sync_blocks();
+  if (!live_fresh_) {
+    live_ = compute_block_liveness(k_, cfg_.blocks);
+    live_fresh_ = true;
+    ++liveness_runs_;
+  }
+  return live_;
 }
 
 BlockLiveness compute_block_liveness(const Kernel& k,

@@ -61,4 +61,44 @@ struct BlockLiveness {
 BlockLiveness compute_block_liveness(const Kernel& k,
                                      const std::vector<BasicBlock>& blocks);
 
+/// The analyses one kernel's pass pipeline shares: the label-led blocks and
+/// their edges, the dominator tree and frontiers, and block liveness. Each
+/// is built on first use and kept until the code changes.
+///
+/// The bundle is bound to one kernel. Whoever changes that kernel's code
+/// calls `invalidate()`; the next read re-derives the block boundaries and
+/// recomputes liveness. The dominator tree is rebuilt only when the new
+/// blocks or their successor lists differ from the old ones (a pass emptied
+/// a block), because the same graph has the same dominators. Reordering
+/// instructions inside their blocks changes neither the boundaries nor the
+/// block live-in and live-out sets, so it needs no invalidation.
+class Analyses {
+ public:
+  explicit Analyses(const Kernel& k) : k_(k) {}
+
+  void invalidate() { blocks_fresh_ = live_fresh_ = false; }
+
+  /// Blocks, edges and dominator tree of the current code.
+  const Cfg& cfg();
+  /// The blocks alone (no dominator tree is built for them).
+  const std::vector<BasicBlock>& blocks();
+  const BlockLiveness& liveness();
+
+  /// Dominator-tree builds and liveness dataflows run so far.
+  int dom_builds() const { return dom_builds_; }
+  int liveness_runs() const { return liveness_runs_; }
+
+ private:
+  void sync_blocks();
+
+  const Kernel& k_;
+  Cfg cfg_;
+  BlockLiveness live_;
+  bool blocks_fresh_ = false;
+  bool dom_fresh_ = false;
+  bool live_fresh_ = false;
+  int dom_builds_ = 0;
+  int liveness_runs_ = 0;
+};
+
 }  // namespace safara::vir

@@ -71,10 +71,13 @@ std::vector<BasicBlock> build_cfg(const Kernel& k) {
 }
 
 LiveExtents compute_live_extents(const Kernel& k) {
-  const std::uint32_t nregs = k.num_vregs();
   const std::vector<BasicBlock> blocks = build_cfg(k);
-  const BlockLiveness lv = compute_block_liveness(k, blocks);
+  return compute_live_extents(k, blocks, compute_block_liveness(k, blocks));
+}
 
+LiveExtents compute_live_extents(const Kernel& k, const std::vector<BasicBlock>& blocks,
+                                 const BlockLiveness& lv) {
+  const std::uint32_t nregs = k.num_vregs();
   constexpr std::int32_t kUnset = -1;
   LiveExtents x;
   x.start.assign(nregs, kUnset);

@@ -36,6 +36,13 @@ struct LiveExtents {
 };
 LiveExtents compute_live_extents(const Kernel& k);
 
+struct BlockLiveness;
+/// The same extents over any partition of the code into blocks and that
+/// partition's liveness: a block boundary only marks points the value is
+/// live at anyway, so every partition yields the same extents.
+LiveExtents compute_live_extents(const Kernel& k, const std::vector<BasicBlock>& blocks,
+                                 const BlockLiveness& lv);
+
 /// One interval per vreg with an extent, ordered by start. Never-used vregs
 /// get no interval.
 std::vector<LiveInterval> compute_live_intervals(const Kernel& k);

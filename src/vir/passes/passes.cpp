@@ -72,8 +72,13 @@ int remove_dead(Kernel& k, const std::vector<char>& dead) {
 }  // namespace
 
 int max_live_pressure(const Kernel& k) {
+  Analyses a(k);
+  return max_live_pressure(k, a);
+}
+
+int max_live_pressure(const Kernel& k, Analyses& a) {
   if (k.code.empty()) return 0;
-  const LiveExtents x = compute_live_extents(k);
+  const LiveExtents x = compute_live_extents(k, a.blocks(), a.liveness());
   std::vector<int> delta(k.code.size() + 1, 0);
   for (std::uint32_t r = 0; r < k.num_vregs(); ++r) {
     const int w = registers_of(k.vreg_types[r]);
@@ -159,9 +164,14 @@ GvnKey make_gvn_key(const Instr& in, const Kernel& k, const std::vector<std::uin
 }  // namespace
 
 int run_gvn(Kernel& k) {
+  Analyses a(k);
+  return run_gvn(k, a);
+}
+
+int run_gvn(Kernel& k, Analyses& a) {
   if (k.code.empty()) return 0;
   const std::vector<int> defs = def_counts(k);
-  const Cfg cfg = build_dominator_cfg(k);
+  const Cfg& cfg = a.cfg();
 
   // A hit redirects its dst's uses to the dominating value. The kernel is
   // left untouched during the walk: operands are read through `rename`,
@@ -225,7 +235,7 @@ int run_gvn(Kernel& k) {
   }
 
   if (hits == 0) return 0;
-  const int pressure_before = max_live_pressure(k);
+  const int pressure_before = max_live_pressure(k, a);
   std::vector<Instr> code = k.code;
   std::vector<std::int32_t> labels = k.labels;
   for (Instr& in : k.code) {
@@ -234,13 +244,15 @@ int run_gvn(Kernel& k) {
     if (in.c != kNoReg) in.c = rename[in.c];
   }
   remove_dead(k, dead);
+  a.invalidate();
   // Merging computations can lengthen the surviving value's live range (an
   // immediate re-materialized per block is cheaper than one register pinned
   // across the loop). The pipeline's contract is pressure-monotone, so any
   // net loss reverts the whole pass.
-  if (max_live_pressure(k) > pressure_before) {
+  if (max_live_pressure(k, a) > pressure_before) {
     k.code = std::move(code);
     k.labels = std::move(labels);
+    a.invalidate();
     return 0;
   }
   return hits;
@@ -379,9 +391,14 @@ int run_strength_reduction(Kernel& k) {
 }
 
 int run_pressure_scheduling(Kernel& k) {
+  Analyses a(k);
+  return run_pressure_scheduling(k, a);
+}
+
+int run_pressure_scheduling(Kernel& k, Analyses& a) {
   if (k.code.empty()) return 0;
   const std::vector<int> defs = def_counts(k);
-  const std::vector<BasicBlock> blocks = build_dominator_cfg(k).blocks;
+  const std::vector<BasicBlock>& blocks = a.blocks();
 
   // The pass only reorders k.code, so the code before the first move is all
   // a revert needs.
@@ -420,18 +437,20 @@ int run_pressure_scheduling(Kernel& k) {
   // Strict gate: adjacency between a producer and its consumer costs issue
   // stalls in the scoreboarded SM model, so reordering is only worth keeping
   // when it actually lowers the peak — pressure-neutral shuffles revert.
-  const int pressure_after = max_live_pressure(k);
+  // Both orders share one liveness: moves inside a block change no block's
+  // live-in or live-out set, only the extents.
+  const int pressure_after = max_live_pressure(k, a);
   std::swap(k.code, original);  // measure, and by default keep, the original
-  if (pressure_after >= max_live_pressure(k)) return 0;
+  if (pressure_after >= max_live_pressure(k, a)) return 0;
   k.code = std::move(original);
   return moves;
 }
 
 PassStats run_pipeline(Kernel& k, int opt_level) {
   PassStats s;
-  s.pressure_before = max_live_pressure(k);
+  Analyses a(k);
+  s.pressure_before = max_live_pressure(k, a);
   s.pressure_after = s.pressure_before;
-  if (opt_level <= 0) return s;
 
   // Each iteration: SSA in, passes, SSA out. An iteration is kept only when
   // it performed counted optimization work, strictly shrank the kernel, and
@@ -441,23 +460,33 @@ PassStats run_pipeline(Kernel& k, int opt_level) {
   // (reverted) iteration deterministically and reverts it again, so the
   // second run is byte-identical and reports zero work. `s.pressure_after`
   // is always the pressure of the kernel as it stands between iterations.
+  //
+  // A pass that reports work changed the code, so `note` marks the analyses
+  // stale for their next reader; the SSA round trip, GVN and scheduling take
+  // the bundle and keep it in step themselves. A revert ends the loop, so a
+  // bundle that no longer matches the kernel is never read.
+  auto note = [&a](int work) {
+    if (work > 0) a.invalidate();
+    return work;
+  };
   bool first_round = true;
-  while (true) {
+  while (opt_level > 0) {
+    ++s.pipeline_iterations;
     const Kernel snapshot = k;
-    const ssa::ConstructStats cs = ssa::construct(k);
+    const ssa::ConstructStats cs = ssa::construct(k, a);
     if (first_round) s.phi_count = cs.phis;
 
     PassStats it;
-    it.copyprop_removed += run_copy_propagation(k);
-    it.dce_removed += run_dce(k);
+    it.copyprop_removed += note(run_copy_propagation(k));
+    it.dce_removed += note(run_dce(k));
     if (opt_level >= 2) {
-      it.strength_reduced = run_strength_reduction(k);
+      it.strength_reduced = note(run_strength_reduction(k));
       // Strength reduction mints movs; fold them before value numbering so
       // GVN sees canonical operands.
-      it.copyprop_removed += run_copy_propagation(k);
-      it.gvn_hits = run_gvn(k);
-      it.dce_removed += run_dce(k);
-      it.sched_moves = run_pressure_scheduling(k);
+      it.copyprop_removed += note(run_copy_propagation(k));
+      it.gvn_hits = run_gvn(k, a);
+      it.dce_removed += note(run_dce(k));
+      it.sched_moves = run_pressure_scheduling(k, a);
     }
     const int counted = it.copyprop_removed + it.gvn_hits + it.dce_removed +
                         it.strength_reduced + it.sched_moves;
@@ -466,9 +495,9 @@ PassStats run_pipeline(Kernel& k, int opt_level) {
       break;
     }
     ssa::DestructStats ds;
-    if (cs.converted) ds = ssa::destruct(k);
+    if (cs.converted) ds = ssa::destruct(k, a);
     const bool shrank = ds.ok && k.code.size() < snapshot.code.size();
-    const int pressure_out = shrank ? max_live_pressure(k) : 0;
+    const int pressure_out = shrank ? max_live_pressure(k, a) : 0;
     if (!shrank || pressure_out > s.pressure_after) {
       k = snapshot;
       break;
@@ -483,6 +512,8 @@ PassStats run_pipeline(Kernel& k, int opt_level) {
     s.phi_copies_coalesced += ds.coalesced;
     first_round = false;
   }
+  s.dom_builds = a.dom_builds();
+  s.liveness_runs = a.liveness_runs();
   return s;
 }
 

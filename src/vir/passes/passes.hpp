@@ -14,6 +14,7 @@
 // docs/PASSES.md for each pass's legality argument.
 #pragma once
 
+#include "vir/cfg.hpp"
 #include "vir/vir.hpp"
 
 namespace safara::vir::passes {
@@ -34,12 +35,19 @@ struct PassStats {
   int phi_count = 0;            // phis placed by SSA construction (first round)
   int ssa_copies_folded = 0;    // movs folded into SSA renaming (kept rounds)
   int phi_copies_coalesced = 0; // phi-elimination copies coalesced (kept rounds)
+  // Work counts (deterministic, unlike time): iterations started, the
+  // final reverted one included, and the analyses they built.
+  int pipeline_iterations = 0;
+  int dom_builds = 0;     // dominator trees built
+  int liveness_runs = 0;  // block liveness dataflows run
 };
 
 /// Peak number of simultaneously live 32-bit register units (predicates are
 /// free, 64-bit values count twice), from the allocator's own hole-free
 /// intervals. This is the quantity the pipeline promises never to increase.
 int max_live_pressure(const Kernel& k);
+/// The same from `a`, the analyses bound to `k`.
+int max_live_pressure(const Kernel& k, Analyses& a);
 
 /// Forward-propagates `mov dst, src` through all uses of `dst` (both
 /// single-def, same type), then deletes the dead movs. Returns the number of
@@ -52,6 +60,9 @@ int run_copy_propagation(Kernel& k);
 /// redirected. Reverted wholesale if peak pressure would grow (merging
 /// immediates across blocks can lengthen live ranges). Returns hits.
 int run_gvn(Kernel& k);
+/// The same on the analyses bound to `k`, which it keeps in step with the
+/// code it leaves.
+int run_gvn(Kernel& k, Analyses& a);
 
 /// Deletes pure instructions (and side-effect-free global loads) whose
 /// destination has no remaining uses, iterating to a fixpoint. Never touches
@@ -68,6 +79,9 @@ int run_strength_reduction(Kernel& k);
 /// shortens their live range before linear scan. Reverted wholesale if peak
 /// pressure would grow. Returns instructions moved.
 int run_pressure_scheduling(Kernel& k);
+/// The same on the analyses bound to `k`. Moves stay inside their blocks,
+/// so the analyses stay valid.
+int run_pressure_scheduling(Kernel& k, Analyses& a);
 
 /// The pipeline behind --opt-level:
 ///   0: nothing (the seed behaviour)
@@ -78,6 +92,10 @@ int run_pressure_scheduling(Kernel& k);
 /// and strictly shrinks the kernel without raising pressure; the final
 /// no-progress iteration is reverted wholesale, which is what makes the
 /// pipeline a fixpoint (running it again is byte-identical).
+///
+/// One `Analyses` bundle serves the whole pipeline: after a pass reports
+/// work, the bundle re-derives block boundaries and liveness when next read,
+/// and rebuilds the dominator tree only if the block graph changed.
 PassStats run_pipeline(Kernel& k, int opt_level);
 
 }  // namespace safara::vir::passes

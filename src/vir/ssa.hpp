@@ -10,6 +10,7 @@
 // an `Opcode::kPhi`.
 #pragma once
 
+#include "vir/cfg.hpp"
 #include "vir/vir.hpp"
 
 namespace safara::vir::ssa {
@@ -34,6 +35,9 @@ struct ConstructStats {
 /// undef paths. Phi operands are ordered by ascending predecessor block
 /// index. Provenance: phis take the source location of their block head.
 ConstructStats construct(Kernel& k);
+/// The same on the analyses bound to `k`, which it leaves in step with the
+/// rewritten code.
+ConstructStats construct(Kernel& k, Analyses& a);
 
 struct DestructStats {
   /// Parallel-copy moves materialized at predecessor block ends.
@@ -54,5 +58,8 @@ struct DestructStats {
 /// edges. The minted copies are then coalesced where live ranges permit, and
 /// vregs are renumbered densely by first appearance.
 DestructStats destruct(Kernel& k);
+/// The same on the analyses bound to `k`, which it leaves in step with the
+/// rewritten code.
+DestructStats destruct(Kernel& k, Analyses& a);
 
 }  // namespace safara::vir::ssa

@@ -527,6 +527,31 @@ TEST(VirPasses, GvnScopesValuesToDominators) {
   EXPECT_EQ(reads_e, 2) << vir::to_string(k);
 }
 
+TEST(VirPasses, OneDominatorTreeServesEveryIteration) {
+  // The pipeline builds its analyses once and re-derives only block
+  // boundaries and liveness as passes delete, rewrite and reorder code: on
+  // a kernel whose passes empty no block, every pass of every iteration
+  // shares one dominator tree. Rebuilding it per consumer took 5 per
+  // iteration.
+  bool multi_iteration = false;
+  for (const char* name : {"355.seismic", "MG"}) {
+    for (vir::Kernel& k : raw_kernels(*workloads::find_workload(name))) {
+      const vir::passes::PassStats s = vir::passes::run_pipeline(k, 2);
+      EXPECT_GE(s.pipeline_iterations, 1) << name << "/" << k.name;
+      EXPECT_EQ(s.dom_builds, 1) << name << "/" << k.name;
+      EXPECT_GE(s.liveness_runs, s.pipeline_iterations) << name << "/" << k.name;
+      multi_iteration = multi_iteration || s.pipeline_iterations > 1;
+    }
+  }
+  EXPECT_TRUE(multi_iteration) << "no kernel ran a second iteration";
+  // Level 0 only measures pressure: one liveness run, no dominator tree.
+  vir::Kernel k = pass_corpus().front().kernel;
+  const vir::passes::PassStats s0 = vir::passes::run_pipeline(k, 0);
+  EXPECT_EQ(s0.pipeline_iterations, 0);
+  EXPECT_EQ(s0.dom_builds, 0);
+  EXPECT_EQ(s0.liveness_runs, 1);
+}
+
 TEST(VirPasses, LevelZeroIsIdentity) {
   for (const workloads::Workload& w : workloads::all_workloads()) {
     for (vir::Kernel k : raw_kernels(w)) {

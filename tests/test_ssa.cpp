@@ -128,6 +128,92 @@ TEST(DomCfg, BlockLivenessSeesLoopCarriedValue) {
   EXPECT_FALSE(bl.live_in_at(head, 3));
 }
 
+// -- the pipeline's analysis bundle ---------------------------------------------
+
+/// The bundle must read exactly what fresh builds on the current code give.
+void expect_fresh(Analyses& a, const Kernel& k) {
+  const Cfg fresh = build_dominator_cfg(k);
+  const Cfg& got = a.cfg();
+  ASSERT_EQ(got.blocks.size(), fresh.blocks.size());
+  for (std::size_t b = 0; b < fresh.blocks.size(); ++b) {
+    EXPECT_EQ(got.blocks[b].begin, fresh.blocks[b].begin) << "block " << b;
+    EXPECT_EQ(got.blocks[b].end, fresh.blocks[b].end) << "block " << b;
+    EXPECT_EQ(got.blocks[b].succs, fresh.blocks[b].succs) << "block " << b;
+  }
+  EXPECT_EQ(got.block_of, fresh.block_of);
+  EXPECT_EQ(got.preds, fresh.preds);
+  EXPECT_EQ(got.reachable, fresh.reachable);
+  EXPECT_EQ(got.idom, fresh.idom);
+  EXPECT_EQ(got.dom_children, fresh.dom_children);
+  EXPECT_EQ(got.dom_frontier, fresh.dom_frontier);
+  const BlockLiveness live = compute_block_liveness(k, fresh.blocks);
+  EXPECT_EQ(a.liveness().live_in, live.live_in);
+  EXPECT_EQ(a.liveness().live_out, live.live_out);
+}
+
+/// Deletes instruction `at`, moving a label on it to the next instruction.
+void erase_instr(Kernel& k, std::int32_t at) {
+  k.code.erase(k.code.begin() + at);
+  for (std::int32_t& t : k.labels) {
+    if (t > at) --t;
+  }
+}
+
+TEST(Analyses, DominatorTreeOutlivesShiftedBoundaries) {
+  KB b = make_loop_kernel();
+  Analyses a(b.k);
+  expect_fresh(a, b.k);
+  EXPECT_EQ(a.dom_builds(), 1);
+  EXPECT_EQ(a.liveness_runs(), 1);
+  erase_instr(b.k, 1);  // the entry block shrinks; every block survives
+  a.invalidate();
+  expect_fresh(a, b.k);
+  EXPECT_EQ(a.dom_builds(), 1) << "same block graph: the dominator tree carries over";
+  EXPECT_EQ(a.liveness_runs(), 2);
+}
+
+TEST(Analyses, EmptiedBlockRebuildsTheDominatorTree) {
+  KB b;
+  auto x = b.reg(VType::kI32);
+  auto t = b.reg(VType::kI32);
+  auto e = b.reg(VType::kI32);
+  auto p = b.reg(VType::kPred);
+  std::int32_t else_l = b.label();
+  std::int32_t join_l = b.label();
+  b.emit(Opcode::kMovImmI, VType::kI32, x).imm = 1;          // 0
+  b.emit(Opcode::kSetLt, VType::kI32, p, x, x);              // 1
+  {
+    Instr& br = b.emit(Opcode::kCbr, VType::kI32, kNoReg, p);  // 2
+    br.imm = else_l;
+    br.imm2 = join_l;
+  }
+  b.emit(Opcode::kAdd, VType::kI32, t, x, x);                // 3: the then-arm alone
+  b.place(else_l);
+  b.emit(Opcode::kAdd, VType::kI32, e, x, x);                // 4
+  b.place(join_l);
+  b.emit(Opcode::kExit, VType::kI32);                        // 5
+  Analyses a(b.k);
+  expect_fresh(a, b.k);
+  ASSERT_EQ(a.cfg().blocks.size(), 4u);
+  erase_instr(b.k, 3);  // the then-arm block is gone
+  a.invalidate();
+  expect_fresh(a, b.k);
+  EXPECT_EQ(a.cfg().blocks.size(), 3u);
+  EXPECT_EQ(a.dom_builds(), 2);
+}
+
+TEST(Analyses, ReorderingInsideBlocksNeedsNoInvalidation) {
+  // The pressure scheduler measures both orders of a block on one
+  // liveness: swapping two independent instructions inside a block leaves
+  // every block's live-in and live-out set as it was.
+  KB b = make_loop_kernel();
+  Analyses a(b.k);
+  a.liveness();
+  std::swap(b.k.code[0], b.k.code[1]);
+  expect_fresh(a, b.k);
+  EXPECT_EQ(a.liveness_runs(), 1);
+}
+
 // -- SSA construction ----------------------------------------------------------
 
 TEST(SsaConstruct, PlacesPhiAtLoopHeader) {
