@@ -4,6 +4,7 @@
 #include <unordered_map>
 
 #include <algorithm>
+#include <optional>
 #include <sstream>
 
 #include "ast/hash.hpp"
@@ -286,6 +287,27 @@ CompiledProgram Compiler::compile(const ast::Function& fn) {
     }
   }
 
+  // The pipeline's work counts cover every pipeline this compile runs, the
+  // feedback compiles' included.
+  const auto count_pipeline_work = [this](const vir::passes::PassStats& s) {
+    if (!collector_) return;
+    collector_->metrics.add("vir.pipeline_iterations", s.pipeline_iterations);
+    collector_->metrics.add("vir.dom_builds", s.dom_builds);
+    collector_->metrics.add("vir.liveness_runs", s.liveness_runs);
+  };
+  // Each region's last SAFARA feedback compile, by region index; empty when
+  // that round was answered from the cache. The pipeline and the allocator
+  // are deterministic in the kernel, the opt level and the allocator options,
+  // and the final compile shares the last two with its feedback compiles, so
+  // a final kernel equal to `input` would only rebuild the rest.
+  struct BackendCompile {
+    vir::Kernel input;   // generate_kernel's kernel, before the pipeline
+    vir::Kernel kernel;  // after it
+    vir::passes::PassStats vir_stats;
+    regalloc::AllocationResult alloc;
+  };
+  std::vector<std::optional<BackendCompile>> last_compiles;
+
   if (opts_.enable_safara) {
     opt::SafaraOptions sopts = opts_.safara;
     sopts.latency = opts_.device.lat;
@@ -295,6 +317,9 @@ CompiledProgram Compiler::compile(const ast::Function& fn) {
         feedback_options_fingerprint(cg, opts_.regalloc, opts_.opt_level);
     auto feedback = [&](ast::Function& f, int region_index) -> int {
       obs::ScopedSpan fb_span(tracer, "safara.feedback_compile", "safara");
+      const auto region = static_cast<std::size_t>(region_index);
+      if (last_compiles.size() <= region) last_compiles.resize(region + 1);
+      last_compiles[region].reset();
       FeedbackKey key;
       if (opts_.safara_feedback_cache) {
         key.fn_hash = ast::hash(f);
@@ -321,23 +346,28 @@ CompiledProgram Compiler::compile(const ast::Function& fn) {
         throw CompileError("SAFARA feedback compile failed:\n" + fb_diags.render());
       }
       codegen::CodegenResult res = codegen::generate_kernel(
-          *fb_info, fb_info->regions[static_cast<std::size_t>(region_index)],
-          region_index, cg, fb_diags);
+          *fb_info, fb_info->regions[region], region_index, cg, fb_diags);
       if (!fb_diags.ok()) {
         throw CompileError("SAFARA feedback codegen failed:\n" + fb_diags.render());
       }
       // The feedback answer must be measured on the same IR the final
       // pipeline allocates: registers the cleanup frees are headroom SAFARA
       // is allowed to spend on more scalar replacement.
-      vir::passes::run_pipeline(res.kernel, opts_.opt_level);
+      vir::Kernel input = res.kernel;
+      const vir::passes::PassStats vir_stats =
+          vir::passes::run_pipeline(res.kernel, opts_.opt_level);
+      count_pipeline_work(vir_stats);
       regalloc::AllocationResult alloc = regalloc::allocate(res.kernel, opts_.regalloc);
+      const int regs_used = alloc.regs_used;
       if (opts_.safara_feedback_cache) {
         std::lock_guard<std::mutex> lock(g_feedback_cache_mu);
-        g_feedback_cache.emplace(key, alloc.regs_used);
+        g_feedback_cache.emplace(key, regs_used);
       }
-      fb_span.set_arg("regs_used", obs::json::Value(alloc.regs_used));
+      last_compiles[region] = BackendCompile{std::move(input), std::move(res.kernel),
+                                             vir_stats, std::move(alloc)};
+      fb_span.set_arg("regs_used", obs::json::Value(regs_used));
       if (collector_) collector_->metrics.add("safara.feedback_compiles");
-      return alloc.regs_used;
+      return regs_used;
     };
     obs::ScopedSpan span(tracer, "opt.safara", "opt");
     out.safara = opt::run_safara(work, feedback, sopts, diags, collector_);
@@ -368,16 +398,34 @@ CompiledProgram Compiler::compile(const ast::Function& fn) {
     CompiledKernel ck;
     ck.name = res.kernel.name;
     ck.plan = std::move(res.plan);
+    // Unchanged since the region's last feedback compile: take its pipeline
+    // and allocator results instead of building them again.
+    BackendCompile* reused = nullptr;
+    if (r < last_compiles.size() && last_compiles[r] && last_compiles[r]->input == res.kernel) {
+      reused = &*last_compiles[r];
+    }
     {
       obs::ScopedSpan vir_span(tracer, "vir.passes", "backend");
-      ck.vir_stats = vir::passes::run_pipeline(res.kernel, opts_.opt_level);
+      if (reused) {
+        res.kernel = std::move(reused->kernel);
+        ck.vir_stats = reused->vir_stats;
+        vir_span.set_arg("reused", obs::json::Value(true));
+      } else {
+        ck.vir_stats = vir::passes::run_pipeline(res.kernel, opts_.opt_level);
+        count_pipeline_work(ck.vir_stats);
+      }
       vir_span.set_arg("opt_level", obs::json::Value(opts_.opt_level));
       vir_span.set_arg("pressure_before", obs::json::Value(ck.vir_stats.pressure_before));
       vir_span.set_arg("pressure_after", obs::json::Value(ck.vir_stats.pressure_after));
     }
     {
       obs::ScopedSpan alloc_span(tracer, "regalloc", "backend");
-      ck.alloc = regalloc::allocate(res.kernel, opts_.regalloc);
+      if (reused) {
+        ck.alloc = std::move(reused->alloc);
+        alloc_span.set_arg("reused", obs::json::Value(true));
+      } else {
+        ck.alloc = regalloc::allocate(res.kernel, opts_.regalloc);
+      }
       // RegDem: redirect the hottest spill slots to shared memory while the
       // per-block budget keeps occupancy intact. Post-allocation only — it
       // never changes regs_used, so SAFARA's feedback compiles (which only
@@ -398,6 +446,7 @@ CompiledProgram Compiler::compile(const ast::Function& fn) {
     span.set_arg("kernel", obs::json::Value(ck.name));
     if (collector_) {
       collector_->metrics.add("driver.kernels");
+      collector_->metrics.add("driver.kernels_reused", reused ? 1 : 0);
       collector_->metrics.set("regalloc.regs_used." + ck.name, ck.alloc.regs_used);
       collector_->metrics.set("regalloc.spill_bytes." + ck.name, ck.alloc.spill_bytes);
       collector_->metrics.add("regalloc.shared_spill_slots", ck.alloc.shared_spill_slots);
@@ -412,9 +461,6 @@ CompiledProgram Compiler::compile(const ast::Function& fn) {
       collector_->metrics.add("vir.dce_removed", ck.vir_stats.dce_removed);
       collector_->metrics.add("vir.strength_reduced", ck.vir_stats.strength_reduced);
       collector_->metrics.add("vir.sched_moves", ck.vir_stats.sched_moves);
-      collector_->metrics.add("vir.pipeline_iterations", ck.vir_stats.pipeline_iterations);
-      collector_->metrics.add("vir.dom_builds", ck.vir_stats.dom_builds);
-      collector_->metrics.add("vir.liveness_runs", ck.vir_stats.liveness_runs);
       collector_->metrics.set("vir.phi_count." + ck.name, ck.vir_stats.phi_count);
       collector_->metrics.set("vir.regs_before." + ck.name, ck.vir_stats.pressure_before);
       collector_->metrics.set("vir.regs_after." + ck.name, ck.vir_stats.pressure_after);

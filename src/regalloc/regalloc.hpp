@@ -43,6 +43,8 @@ struct LiveRange {
   /// True when the RegDem pass redirected this range's spill slot to shared
   /// memory (spill_slot then offsets into the shared frame, not local).
   bool in_shared = false;
+
+  bool operator==(const LiveRange&) const = default;
 };
 
 struct AllocationResult {
@@ -91,6 +93,8 @@ struct AllocationResult {
   /// "ptxas info    : Used 26 registers, 0 bytes spill stores, ..." — the
   /// static feedback line SAFARA parses conceptually.
   std::string ptxas_info(const std::string& kernel_name) const;
+
+  bool operator==(const AllocationResult&) const = default;
 };
 
 enum class Strategy : std::uint8_t {

@@ -40,6 +40,8 @@ struct PassStats {
   int pipeline_iterations = 0;
   int dom_builds = 0;     // dominator trees built
   int liveness_runs = 0;  // block liveness dataflows run
+
+  bool operator==(const PassStats&) const = default;
 };
 
 /// Peak number of simultaneously live 32-bit register units (predicates are

@@ -6,6 +6,7 @@
 // carries the reconvergence label the SIMT interpreter uses for divergence.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <limits>
 #include <string>
@@ -129,6 +130,15 @@ struct Instr {
   SourceLoc loc;
 
   static constexpr std::uint8_t kFlagReadOnly = 1;  // kLdGlobal via RO cache
+
+  /// Every field, `fimm` by its bits: a defaulted `==` would call -0.0 and
+  /// 0.0 equal, and they print and compute differently.
+  bool operator==(const Instr& o) const {
+    return op == o.op && type == o.type && dst == o.dst && a == o.a && b == o.b &&
+           c == o.c && imm == o.imm &&
+           std::bit_cast<std::uint64_t>(fimm) == std::bit_cast<std::uint64_t>(o.fimm) &&
+           imm2 == o.imm2 && flags == o.flags && loc == o.loc;
+  }
 };
 
 /// What a kernel formal parameter carries; the host runtime assembles the
@@ -144,6 +154,8 @@ struct ParamInfo {
   std::string name;  // array or scalar name
   int dim = 0;       // for kDopeLb / kDopeLen
   VType type = VType::kI64;
+
+  bool operator==(const ParamInfo&) const = default;
 };
 
 struct Kernel {
@@ -163,6 +175,10 @@ struct Kernel {
   }
   /// Instruction index a label refers to.
   std::int32_t target(std::int32_t label) const { return labels[static_cast<std::size_t>(label)]; }
+
+  /// Every field. Equal kernels go through the pass pipeline and the
+  /// allocator to equal results, which is what lets a compile reuse them.
+  bool operator==(const Kernel&) const = default;
 };
 
 /// Disassembles to PTX-flavoured text for tests and debugging.

@@ -1,7 +1,8 @@
 // Compiler-driver API tests: error paths, persona behaviour, multi-region
-// programs, reports, the option fingerprint, the shared run-flag table, and
-// the paper-table structural facts the benches rely on (seismic has 7
-// kernels, sp has 10, register orderings hold).
+// programs, reports, the reuse of SAFARA's last feedback compiles, the option
+// fingerprint, the shared run-flag table, and the paper-table structural
+// facts the benches rely on (seismic has 7 kernels, sp has 10, register
+// orderings hold).
 #include <gtest/gtest.h>
 
 #include <map>
@@ -9,6 +10,9 @@
 
 #include "ast/printer.hpp"
 #include "driver/run_options.hpp"
+#include "fuzz/generator.hpp"
+#include "regalloc/regdem.hpp"
+#include "sema/sema.hpp"
 #include "tests_common.hpp"
 #include "workloads/harness.hpp"
 
@@ -230,6 +234,123 @@ TEST(FeedbackCache, RepeatCompilesHitTheCacheWithoutChangingResults) {
   const auto* reanalyses = counters->find("safara.sema_reanalyses");
   ASSERT_NE(reanalyses, nullptr);
   EXPECT_EQ(reanalyses->as_int(), counters->find("safara.iterations")->as_int());
+}
+
+// -- the last feedback compile becomes the emitted kernel ---------------------
+
+// Compiles every kernel of `prog` again from its post-SAFARA AST through the
+// whole back end, as `Compiler::compile` does for a kernel it cannot reuse,
+// and requires the same kernel, pass statistics and allocation.
+void expect_same_as_full_backend(const driver::CompiledProgram& prog,
+                                 const driver::CompilerOptions& opts) {
+  DiagnosticEngine diags;
+  sema::Sema sema(diags);
+  const auto info = sema.analyze(*prog.transformed);
+  ASSERT_TRUE(diags.ok()) << diags.render();
+  ASSERT_EQ(info->regions.size(), prog.kernels.size());
+  codegen::CodegenOptions cg;
+  cg.honor_dim = opts.honor_dim;
+  cg.honor_small = opts.honor_small;
+  cg.licm = true;
+  cg.cse_loads_within_stmt = opts.persona == driver::Persona::kPgiLike;
+  for (std::size_t r = 0; r < prog.kernels.size(); ++r) {
+    const driver::CompiledKernel& ck = prog.kernels[r];
+    SCOPED_TRACE(ck.name);
+    codegen::CodegenResult res = codegen::generate_kernel(
+        *info, info->regions[r], static_cast<int>(r), cg, diags);
+    ASSERT_TRUE(diags.ok()) << diags.render();
+    const vir::passes::PassStats stats = vir::passes::run_pipeline(res.kernel, opts.opt_level);
+    regalloc::AllocationResult alloc = regalloc::allocate(res.kernel, opts.regalloc);
+    regalloc::demote_spill_slots(res.kernel, alloc, opts.regalloc, opts.device,
+                                 codegen::LaunchPlan::kDefaultVectorLen);
+    EXPECT_EQ(vir::to_string(res.kernel), vir::to_string(ck.kernel));
+    EXPECT_TRUE(res.kernel == ck.kernel);
+    EXPECT_TRUE(stats == ck.vir_stats);
+    EXPECT_EQ(alloc.ptxas_info(ck.name), ck.ptxas_info());
+    EXPECT_TRUE(alloc == ck.alloc);
+  }
+}
+
+struct CompileWithMetrics {
+  driver::CompiledProgram prog;
+  obs::MetricsRegistry metrics;
+};
+
+// A compile with a cold feedback cache, so every feedback round compiles.
+CompileWithMetrics compile_cold(const driver::CompilerOptions& opts, std::string_view source,
+                                const std::string& function = "") {
+  driver::clear_safara_feedback_cache();
+  obs::Collector collector;
+  driver::Compiler c(opts, &collector);
+  driver::CompiledProgram prog = c.compile(source, function);
+  return {std::move(prog), collector.metrics};
+}
+
+TEST(FeedbackReuse, EmittedKernelsMatchTheFullBackend) {
+  for (const driver::CompilerOptions& opts : {driver::CompilerOptions::openuh_safara(),
+                                              driver::CompilerOptions::openuh_safara_clauses()}) {
+    SCOPED_TRACE(opts.honor_dim ? "safara_clauses" : "safara");
+    for (const workloads::Workload& w : workloads::all_workloads()) {
+      SCOPED_TRACE(w.name);
+      const CompileWithMetrics c = compile_cold(opts, w.source, w.function);
+      expect_same_as_full_backend(c.prog, opts);
+      // On every shipped workload, SAFARA's last round leaves each region
+      // as it measured it.
+      EXPECT_EQ(c.metrics.counter("driver.kernels_reused"),
+                static_cast<std::int64_t>(c.prog.kernels.size()));
+    }
+    std::int64_t reused = 0;
+    for (std::uint64_t seed = 1; seed <= 50; ++seed) {
+      SCOPED_TRACE("fuzz seed " + std::to_string(seed));
+      const CompileWithMetrics c = compile_cold(opts, fuzz::generate_program(seed));
+      expect_same_as_full_backend(c.prog, opts);
+      reused += c.metrics.counter("driver.kernels_reused");
+    }
+    EXPECT_GT(reused, 0);
+  }
+}
+
+TEST(FeedbackReuse, ARegionChangedAfterItsLastFeedbackCompileIsCompiledAgain) {
+  // With one round per region, SAFARA replaces references right after it
+  // measured a region, so only a region it had nothing to replace in still
+  // equals its feedback kernel.
+  const workloads::Workload* w = workloads::find_workload("355.seismic");
+  driver::CompilerOptions opts = driver::CompilerOptions::openuh_safara_clauses();
+  opts.safara.max_iterations = 1;
+  const CompileWithMetrics c = compile_cold(opts, w->source, w->function);
+  ASSERT_EQ(c.prog.kernels.size(), 7u);
+  EXPECT_EQ(c.metrics.counter("driver.kernels_reused"), 1);
+  expect_same_as_full_backend(c.prog, opts);
+}
+
+TEST(FeedbackReuse, CacheHitsLeaveNothingToReuse) {
+  const workloads::Workload* w = workloads::find_workload("355.seismic");
+  const driver::CompilerOptions opts = driver::CompilerOptions::openuh_safara_clauses();
+  const CompileWithMetrics first = compile_cold(opts, w->source, w->function);
+  obs::Collector collector;
+  driver::Compiler c(opts, &collector);
+  const driver::CompiledProgram second = c.compile(w->source, w->function);
+  EXPECT_EQ(driver::dump_vir(second), driver::dump_vir(first.prog));
+  EXPECT_EQ(second.safara.to_json().dump(2), first.prog.safara.to_json().dump(2));
+  EXPECT_EQ(collector.metrics.counter("safara.feedback_cache_hits"),
+            collector.metrics.counter("safara.iterations"));
+  EXPECT_EQ(collector.metrics.counter("driver.kernels_reused"), 0);
+
+  // The pipeline work counts cover exactly the pipelines that ran: only the
+  // emitted kernels' on the second compile, the feedback compiles' (which the
+  // reused kernels came from) on the first.
+  vir::passes::PassStats emitted;
+  for (const driver::CompiledKernel& k : second.kernels) {
+    emitted.pipeline_iterations += k.vir_stats.pipeline_iterations;
+    emitted.dom_builds += k.vir_stats.dom_builds;
+    emitted.liveness_runs += k.vir_stats.liveness_runs;
+  }
+  EXPECT_EQ(collector.metrics.counter("vir.pipeline_iterations"), emitted.pipeline_iterations);
+  EXPECT_EQ(collector.metrics.counter("vir.dom_builds"), emitted.dom_builds);
+  EXPECT_EQ(collector.metrics.counter("vir.liveness_runs"), emitted.liveness_runs);
+  EXPECT_EQ(first.metrics.counter("driver.kernels_reused"), 7);
+  EXPECT_GT(first.metrics.counter("safara.feedback_compiles"), 7);
+  EXPECT_GT(first.metrics.counter("vir.pipeline_iterations"), emitted.pipeline_iterations);
 }
 
 // -- option fingerprint ---------------------------------------------------------

@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
+#include <iterator>
+#include <limits>
 
 #include "regalloc/regalloc.hpp"
 #include "tests_common.hpp"
@@ -589,6 +592,62 @@ TEST(Vir, DisassemblyMentionsEveryOpcode) {
   EXPECT_NE(text.find("@ro"), std::string::npos);
   EXPECT_NE(text.find("st.global"), std::string::npos);
   EXPECT_NE(text.find("exit"), std::string::npos);
+}
+
+// A compile reuses a feedback compile only for an equal kernel, so equality
+// must see every field, including the ones the disassembly leaves out.
+TEST(Vir, KernelEqualityCoversEveryField) {
+  KB b;
+  b.k.name = "eq";
+  const auto f = b.reg(VType::kF32);
+  b.k.vreg_names.push_back("x");
+  const std::int32_t done = b.label();
+  b.emit(Opcode::kMovImmF, VType::kF32, f).fimm = 0.0;
+  b.place(done);
+  b.emit(Opcode::kExit, VType::kF32);
+  b.k.params.push_back({ParamInfo::Kind::kScalar, "n", 0, VType::kI32});
+  const Kernel base = b.k;
+  EXPECT_TRUE(base == b.k);
+
+  const std::function<void(Instr&)> instr_edits[] = {
+      [](Instr& in) { in.op = Opcode::kMovImmI; },
+      [](Instr& in) { in.type = VType::kF64; },
+      [](Instr& in) { in.dst = 1; },
+      [](Instr& in) { in.a = 0; },
+      [](Instr& in) { in.b = 0; },
+      [](Instr& in) { in.c = 0; },
+      [](Instr& in) { in.imm = 1; },
+      [](Instr& in) { in.fimm = -0.0; },  // == 0.0 as a double, not by its bits
+      [](Instr& in) { in.imm2 = 0; },
+      [](Instr& in) { in.flags = Instr::kFlagReadOnly; },
+      [](Instr& in) { in.loc = SourceLoc{3, 7}; },
+  };
+  for (std::size_t i = 0; i < std::size(instr_edits); ++i) {
+    Kernel edited = base;
+    instr_edits[i](edited.code[0]);
+    EXPECT_FALSE(edited == base) << "instruction edit " << i;
+  }
+
+  const std::function<void(Kernel&)> kernel_edits[] = {
+      [](Kernel& k) { k.name = "other"; },
+      [](Kernel& k) { k.vreg_types[0] = VType::kF64; },
+      [](Kernel& k) { k.vreg_names[0] = "y"; },
+      [](Kernel& k) { k.labels[0] = 0; },
+      [](Kernel& k) { k.params[0].kind = ParamInfo::Kind::kArrayBase; },
+      [](Kernel& k) { k.params[0].name = "m"; },
+      [](Kernel& k) { k.params[0].dim = 1; },
+      [](Kernel& k) { k.params[0].type = VType::kI64; },
+  };
+  for (std::size_t i = 0; i < std::size(kernel_edits); ++i) {
+    Kernel edited = base;
+    kernel_edits[i](edited);
+    EXPECT_FALSE(edited == base) << "kernel edit " << i;
+  }
+
+  // By its bits, a NaN immediate equals itself, so such a kernel is reusable.
+  Kernel nan = base;
+  nan.code[0].fimm = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_TRUE(nan == Kernel(nan));
 }
 
 }  // namespace
