@@ -1,9 +1,7 @@
 #include "driver/eval_grid.hpp"
 
 #include <algorithm>
-#include <climits>
 
-#include "support/string_util.hpp"
 #include "support/thread_pool.hpp"
 #include "vgpu/sim.hpp"
 
@@ -12,19 +10,12 @@ namespace {
 
 int g_grid_threads_override = 0;
 
-int default_grid_threads() {
-  if (std::optional<long long> n = env_int("SAFARA_GRID_THREADS")) {
-    if (*n > 0 && *n <= INT_MAX) return static_cast<int>(*n);
-  }
-  return vgpu::sim_threads();
-}
-
 }  // namespace
 
 void set_grid_threads(int n) { g_grid_threads_override = n > 0 ? n : 0; }
 
 int grid_threads() {
-  return g_grid_threads_override > 0 ? g_grid_threads_override : default_grid_threads();
+  return g_grid_threads_override > 0 ? g_grid_threads_override : vgpu::sim_threads();
 }
 
 int grid_parallelism(std::int64_t cells) {

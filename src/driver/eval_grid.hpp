@@ -25,9 +25,8 @@
 namespace safara::driver {
 
 /// Sets the process-wide grid thread budget, a deployment setting a main()
-/// sets once. `n <= 0` restores the default: SAFARA_GRID_THREADS if set,
-/// otherwise vgpu::sim_threads() (so one knob sizes the whole evaluation
-/// pipeline).
+/// sets once. `n <= 0` restores the default, vgpu::sim_threads() (so one
+/// knob sizes the whole evaluation pipeline).
 void set_grid_threads(int n);
 /// The budget the next eval_grid will use (always >= 1).
 int grid_threads();

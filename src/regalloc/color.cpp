@@ -32,7 +32,6 @@
 #include <vector>
 
 #include "vir/cfg.hpp"
-#include "vir/liveness.hpp"
 
 namespace safara::regalloc {
 
@@ -99,16 +98,10 @@ AllocationResult allocate_color(const Kernel& kernel, const AllocatorOptions& op
   if (n == 0 || nv == 0) return result;
 
   const int cap = std::max(1, opts.max_registers);
-  const std::vector<vir::BasicBlock> blocks = vir::build_cfg(kernel);
-  const vir::BlockLiveness bl = vir::compute_block_liveness(kernel, blocks);
+  vir::Analyses analyses(kernel);
+  const std::vector<vir::BasicBlock>& blocks = analyses.blocks();
+  const vir::BlockLiveness& bl = analyses.liveness();
   const std::size_t words = (static_cast<std::size_t>(nv) + 63) / 64;
-
-  std::vector<std::int32_t> block_of(static_cast<std::size_t>(n), 0);
-  for (std::size_t b = 0; b < blocks.size(); ++b) {
-    for (std::int32_t i = blocks[b].begin; i < blocks[b].end; ++i) {
-      block_of[static_cast<std::size_t>(i)] = static_cast<std::int32_t>(b);
-    }
-  }
 
   // Per-instruction liveness: live_before[i] = use(i) | (live_after(i) - def(i)),
   // seeded from the block-level dataflow.
@@ -139,13 +132,6 @@ AllocationResult allocate_color(const Kernel& kernel, const AllocatorOptions& op
   // "Occupied at i" throughout this file means: live before i, or defined
   // at i. The loops below evaluate it with word scans over live_before plus
   // a def_at check instead of a per-(vreg, position) predicate.
-  // live_after(i) as a bitset pointer: the next instruction's live_before
-  // inside a block, the block's live_out at its last instruction.
-  auto after = [&](std::int32_t i) -> const std::uint64_t* {
-    const std::int32_t b = block_of[static_cast<std::size_t>(i)];
-    if (i + 1 < blocks[static_cast<std::size_t>(b)].end) return before(i + 1);
-    return bl.out(static_cast<std::size_t>(b));
-  };
 
   std::vector<std::uint64_t> pred_mask(words, 0);
   for (std::uint32_t v = 0; v < nv; ++v) {
@@ -342,28 +328,32 @@ AllocationResult allocate_color(const Kernel& kernel, const AllocatorOptions& op
     };
 
     // A definition interferes with everything live after it, except the
-    // source of a copy (so `mov d, s` leaves d and s coalescable).
-    for (std::int32_t i = 0; i < n; ++i) {
-      const std::uint32_t d = def_at[static_cast<std::size_t>(i)];
-      if (d == vir::kNoReg || kernel.vreg_types[d] == VType::kPred || spilled[d]) continue;
-      const Instr& in = kernel.code[static_cast<std::size_t>(i)];
-      const std::uint32_t movsrc = in.op == Opcode::kMov ? in.a : vir::kNoReg;
-      const std::int32_t nd = seg_at(d, i);
-      if (nd < 0) continue;
-      const std::uint64_t* la = after(i);
-      for (std::size_t wi = 0; wi < words; ++wi) {
-        std::uint64_t bits = la[wi];
-        while (bits) {
-          const std::uint32_t v =
-              static_cast<std::uint32_t>(wi * 64 +
-                                         static_cast<std::uint32_t>(__builtin_ctzll(bits)));
-          bits &= bits - 1;
-          if (v == d || v == movsrc || v >= nv) continue;
-          if (kernel.vreg_types[v] == VType::kPred || spilled[v]) continue;
-          const std::int32_t nvg = seg_at(v, i);
-          if (nvg >= 0) {
-            set_bit(row(nd), nvg);
-            set_bit(row(nvg), nd);
+    // source of a copy (so `mov d, s` leaves d and s coalescable). Live
+    // after i is the next instruction's live_before inside a block, the
+    // block's live_out at its last instruction.
+    for (std::size_t b = 0; b < blocks.size(); ++b) {
+      for (std::int32_t i = blocks[b].begin; i < blocks[b].end; ++i) {
+        const std::uint32_t d = def_at[static_cast<std::size_t>(i)];
+        if (d == vir::kNoReg || kernel.vreg_types[d] == VType::kPred || spilled[d]) continue;
+        const Instr& in = kernel.code[static_cast<std::size_t>(i)];
+        const std::uint32_t movsrc = in.op == Opcode::kMov ? in.a : vir::kNoReg;
+        const std::int32_t nd = seg_at(d, i);
+        if (nd < 0) continue;
+        const std::uint64_t* la = i + 1 < blocks[b].end ? before(i + 1) : bl.out(b);
+        for (std::size_t wi = 0; wi < words; ++wi) {
+          std::uint64_t bits = la[wi];
+          while (bits) {
+            const std::uint32_t v =
+                static_cast<std::uint32_t>(wi * 64 +
+                                           static_cast<std::uint32_t>(__builtin_ctzll(bits)));
+            bits &= bits - 1;
+            if (v == d || v == movsrc || v >= nv) continue;
+            if (kernel.vreg_types[v] == VType::kPred || spilled[v]) continue;
+            const std::int32_t nvg = seg_at(v, i);
+            if (nvg >= 0) {
+              set_bit(row(nd), nvg);
+              set_bit(row(nvg), nd);
+            }
           }
         }
       }

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <sstream>
 
-#include "vir/liveness.hpp"
+#include "vir/cfg.hpp"
 
 namespace safara::regalloc {
 

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "vgpu/occupancy.hpp"
-#include "vir/liveness.hpp"
 
 namespace safara::regalloc {
 

@@ -2,10 +2,7 @@
 
 #include <cctype>
 #include <cerrno>
-#include <cstdio>
 #include <cstdlib>
-#include <mutex>
-#include <set>
 
 namespace safara {
 
@@ -42,21 +39,6 @@ std::optional<long long> parse_int_strict(std::string_view s) {
   if (end == buf.c_str() || *end != '\0' || errno == ERANGE) return std::nullopt;
   // strtoll skips leading whitespace; the strict contract does not.
   if (std::isspace(static_cast<unsigned char>(buf[0]))) return std::nullopt;
-  return v;
-}
-
-std::optional<long long> env_int(const char* name) {
-  const char* raw = std::getenv(name);
-  if (!raw) return std::nullopt;
-  std::optional<long long> v = parse_int_strict(raw);
-  if (!v) {
-    static std::mutex mu;
-    static std::set<std::string>* warned = new std::set<std::string>();
-    std::lock_guard<std::mutex> lock(mu);
-    if (warned->insert(name).second) {
-      std::fprintf(stderr, "warning: ignoring %s='%s' (not an integer)\n", name, raw);
-    }
-  }
   return v;
 }
 

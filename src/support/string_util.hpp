@@ -17,12 +17,6 @@ std::vector<std::string> split(std::string_view s, char sep);
 /// "4abc" -> 4 / "abc" -> 0 coercions are exactly what it exists to forbid.
 std::optional<long long> parse_int_strict(std::string_view s);
 
-/// Reads an integer environment variable under parse_int_strict. Unset
-/// returns nullopt silently; a malformed or out-of-range value warns on
-/// stderr (once per variable per process) and is ignored (nullopt), so a
-/// typo'd SAFARA_*_THREADS can never silently select a bogus thread count.
-std::optional<long long> env_int(const char* name);
-
 /// Strips ASCII whitespace from both ends.
 std::string_view trim(std::string_view s);
 

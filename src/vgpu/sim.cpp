@@ -15,11 +15,9 @@
 #include <unordered_set>
 #include <vector>
 
-#include "support/string_util.hpp"
 #include "support/thread_pool.hpp"
 #include "vgpu/cache.hpp"
 #include "vir/cfg.hpp"
-#include "vir/liveness.hpp"
 
 namespace safara::vgpu {
 
@@ -477,9 +475,12 @@ DecodedKernel decode(const Kernel& k, const regalloc::AllocationResult& alloc,
     if (in.op == Opcode::kAtomAdd) dk.has_atomics = true;
     dk.code.push_back(d);
   }
-  const vir::BlockLiveness live = vir::compute_block_liveness(k, vir::build_cfg(k));
-  for (std::uint32_t r = 0; r < k.num_vregs(); ++r) {
-    if (live.live_in_at(0, r)) dk.entry_live.push_back(r);
+  vir::Analyses analyses(k);
+  if (!analyses.blocks().empty()) {
+    const vir::BlockLiveness& live = analyses.liveness();
+    for (std::uint32_t r = 0; r < k.num_vregs(); ++r) {
+      if (live.live_in_at(0, r)) dk.entry_live.push_back(r);
+    }
   }
   if (build_super) {
     build_superblocks(k, spec, dk);
@@ -1688,12 +1689,9 @@ class SmSimulator {
 
 // -- host threading state ------------------------------------------------------
 
-int g_sim_threads_override = 0;  // 0 = use the environment/hardware default
+int g_sim_threads_override = 0;  // 0 = use the hardware default
 
 int default_sim_threads() {
-  if (std::optional<long long> v = env_int("SAFARA_SIM_THREADS")) {
-    if (*v > 0 && *v <= std::numeric_limits<int>::max()) return static_cast<int>(*v);
-  }
   const unsigned hc = std::thread::hardware_concurrency();
   return hc > 0 ? static_cast<int>(hc) : 1;
 }

@@ -77,9 +77,9 @@ struct LaunchStats {
 // is part of the deterministic results contract.
 
 /// Sets the process-wide simulator thread budget, a deployment setting a
-/// main() sets once. `n <= 0` restores the default: SAFARA_SIM_THREADS if
-/// set, otherwise std::thread::hardware_concurrency(). A count of 1
-/// reproduces the exact sequential seed schedule (no pool involvement).
+/// main() sets once. `n <= 0` restores the default,
+/// std::thread::hardware_concurrency(). A count of 1 reproduces the exact
+/// sequential seed schedule (no pool involvement).
 void set_sim_threads(int n);
 /// The process-wide thread budget (always >= 1).
 int sim_threads();

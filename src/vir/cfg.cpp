@@ -6,11 +6,13 @@ namespace safara::vir {
 
 namespace {
 
-/// Like liveness.cpp's build_cfg, but every label position is also a block
-/// leader, so no instruction range spans a point the SIMT interpreter can
-/// transfer control to. Blocks are never empty: each leader is a real
-/// instruction index and a block runs to the next leader. Fills the blocks,
-/// their successor edges and `block_of`.
+/// Leaders are instruction 0, every label position, every branch target and
+/// every instruction after a branch or exit, so no instruction range spans a
+/// point the SIMT interpreter can transfer control to. Blocks are never
+/// empty: each leader is a real instruction index and a block runs to the
+/// next leader. A branch to a target outside the code (an unplaced label or
+/// the end) adds no edge. Fills the blocks, their successor edges and
+/// `block_of`.
 void build_label_blocks(const Kernel& k, Cfg& cfg) {
   const std::int32_t n = static_cast<std::int32_t>(k.code.size());
   std::vector<char> leader(static_cast<std::size_t>(n), 0);
@@ -48,15 +50,12 @@ void build_label_blocks(const Kernel& k, Cfg& cfg) {
   for (std::size_t b = 0; b < nb; ++b) {
     BasicBlock& bb = cfg.blocks[b];
     const Instr& last = k.code[bb.end - 1];
-    if (last.op == Opcode::kBra) {
-      std::int32_t t = k.target(static_cast<std::int32_t>(last.imm));
-      if (t < n) bb.succs.push_back(cfg.block_of[static_cast<std::size_t>(t)]);
-    } else if (last.op == Opcode::kCbr) {
-      std::int32_t t = k.target(static_cast<std::int32_t>(last.imm));
-      if (t < n) bb.succs.push_back(cfg.block_of[static_cast<std::size_t>(t)]);
-      if (b + 1 < nb) bb.succs.push_back(static_cast<std::int32_t>(b + 1));
-    } else if (last.op != Opcode::kExit) {
-      if (b + 1 < nb) bb.succs.push_back(static_cast<std::int32_t>(b + 1));
+    if (last.op == Opcode::kBra || last.op == Opcode::kCbr) {
+      const std::int32_t t = k.target(static_cast<std::int32_t>(last.imm));
+      if (t >= 0 && t < n) bb.succs.push_back(cfg.block_of[static_cast<std::size_t>(t)]);
+    }
+    if (last.op != Opcode::kBra && last.op != Opcode::kExit && b + 1 < nb) {
+      bb.succs.push_back(static_cast<std::int32_t>(b + 1));
     }
   }
 }
@@ -178,56 +177,8 @@ void build_dominators(Cfg& cfg) {
   }
 }
 
-}  // namespace
-
-Cfg build_dominator_cfg(const Kernel& k) {
-  Cfg cfg;
-  build_label_blocks(k, cfg);
-  build_dominators(cfg);
-  return cfg;
-}
-
-void Analyses::sync_blocks() {
-  if (blocks_fresh_) return;
-  Cfg next;
-  build_label_blocks(k_, next);
-  // The same blocks with the same successor lists are the same graph, so
-  // its dominator tree carries over; only the boundaries moved.
-  bool same = dom_fresh_ && next.blocks.size() == cfg_.blocks.size();
-  for (std::size_t b = 0; same && b < next.blocks.size(); ++b) {
-    same = next.blocks[b].succs == cfg_.blocks[b].succs;
-  }
-  dom_fresh_ = same;
-  cfg_.blocks = std::move(next.blocks);
-  cfg_.block_of = std::move(next.block_of);
-  blocks_fresh_ = true;
-}
-
-const Cfg& Analyses::cfg() {
-  sync_blocks();
-  if (!dom_fresh_) {
-    build_dominators(cfg_);
-    dom_fresh_ = true;
-    ++dom_builds_;
-  }
-  return cfg_;
-}
-
-const std::vector<BasicBlock>& Analyses::blocks() {
-  sync_blocks();
-  return cfg_.blocks;
-}
-
-const BlockLiveness& Analyses::liveness() {
-  sync_blocks();
-  if (!live_fresh_) {
-    live_ = compute_block_liveness(k_, cfg_.blocks);
-    live_fresh_ = true;
-    ++liveness_runs_;
-  }
-  return live_;
-}
-
+/// Block live-in and live-out sets over `blocks`, iterated to the least
+/// fixpoint.
 BlockLiveness compute_block_liveness(const Kernel& k,
                                      const std::vector<BasicBlock>& blocks) {
   const std::size_t nblocks = blocks.size();
@@ -274,6 +225,100 @@ BlockLiveness compute_block_liveness(const Kernel& k,
     }
   }
   return lv;
+}
+
+}  // namespace
+
+void Analyses::sync_blocks() {
+  if (blocks_fresh_) return;
+  Cfg next;
+  build_label_blocks(k_, next);
+  // The same blocks with the same successor lists are the same graph, so
+  // its dominator tree carries over; only the boundaries moved.
+  bool same = dom_fresh_ && next.blocks.size() == cfg_.blocks.size();
+  for (std::size_t b = 0; same && b < next.blocks.size(); ++b) {
+    same = next.blocks[b].succs == cfg_.blocks[b].succs;
+  }
+  dom_fresh_ = same;
+  cfg_.blocks = std::move(next.blocks);
+  cfg_.block_of = std::move(next.block_of);
+  blocks_fresh_ = true;
+}
+
+const Cfg& Analyses::cfg() {
+  sync_blocks();
+  if (!dom_fresh_) {
+    build_dominators(cfg_);
+    dom_fresh_ = true;
+    ++dom_builds_;
+  }
+  return cfg_;
+}
+
+const std::vector<BasicBlock>& Analyses::blocks() {
+  sync_blocks();
+  return cfg_.blocks;
+}
+
+const BlockLiveness& Analyses::liveness() {
+  sync_blocks();
+  if (!live_fresh_) {
+    live_ = compute_block_liveness(k_, cfg_.blocks);
+    live_fresh_ = true;
+    ++liveness_runs_;
+  }
+  return live_;
+}
+
+LiveExtents compute_live_extents(const Kernel& k, Analyses& a) {
+  const std::vector<BasicBlock>& blocks = a.blocks();
+  const BlockLiveness& lv = a.liveness();
+  const std::uint32_t nregs = k.num_vregs();
+  constexpr std::int32_t kUnset = -1;
+  LiveExtents x;
+  x.start.assign(nregs, kUnset);
+  x.end.assign(nregs, kUnset);
+  auto extend = [&](std::uint32_t r, std::int32_t pos) {
+    if (x.start[r] == kUnset || pos < x.start[r]) x.start[r] = pos;
+    if (x.end[r] == kUnset || pos > x.end[r]) x.end[r] = pos;
+  };
+  auto extend_bits = [&](const std::uint64_t* bs, std::int32_t pos) {
+    for (std::size_t w = 0; w < lv.words; ++w) {
+      std::uint64_t bits = bs[w];
+      while (bits) {
+        const std::uint32_t r = static_cast<std::uint32_t>(
+            w * 64 + static_cast<std::uint32_t>(__builtin_ctzll(bits)));
+        bits &= bits - 1;
+        extend(r, pos);
+      }
+    }
+  };
+  // A block boundary only marks points the value is live at anyway, so the
+  // extents do not depend on where the blocks split.
+  for (std::size_t b = 0; b < blocks.size(); ++b) {
+    extend_bits(lv.in(b), blocks[b].begin);
+    extend_bits(lv.out(b), blocks[b].end - 1);
+    for (std::int32_t i = blocks[b].begin; i < blocks[b].end; ++i) {
+      const Instr& in = k.code[i];
+      for_each_use(in, [&](std::uint32_t r) { extend(r, i); });
+      if (has_dst(in.op) && in.dst != kNoReg) extend(in.dst, i);
+    }
+  }
+  return x;
+}
+
+std::vector<LiveInterval> compute_live_intervals(const Kernel& k) {
+  Analyses a(k);
+  const LiveExtents x = compute_live_extents(k, a);
+  std::vector<LiveInterval> intervals;
+  for (std::uint32_t r = 0; r < k.num_vregs(); ++r) {
+    if (x.start[r] >= 0) intervals.push_back({r, x.start[r], x.end[r]});
+  }
+  std::sort(intervals.begin(), intervals.end(),
+            [](const LiveInterval& a, const LiveInterval& b) {
+              return a.start < b.start;
+            });
+  return intervals;
 }
 
 }  // namespace safara::vir

@@ -1,20 +1,28 @@
-// Dominator-annotated CFG over VIR kernels, shared by GVN and the SSA
-// construction/destruction passes.
+// Blocks, block liveness and live extents of VIR kernels: the one block
+// partition the back end reads. The pass pipeline (GVN, SSA construction
+// and destruction, pressure scheduling), both register allocators and the
+// simulator's entry-live set all take their blocks from an `Analyses`.
 //
-// The block partition follows the pass pipeline's convention (every label
-// position is a leader, so reconvergence labels are block boundaries), which
-// is stricter than liveness.cpp's branch-only partition. That matters for
-// SSA: phis are placed at label-led joins and the SIMT interpreter can
-// transfer control to any label, so labels must start blocks.
+// Every label position is a block leader, so reconvergence labels are block
+// boundaries. That matters for SSA: phis are placed at label-led joins and
+// the SIMT interpreter can transfer control to any label, so labels must
+// start blocks. Liveness consumers read only per-point liveness, which any
+// partition of the code yields identically, so the extra boundaries change
+// none of their results.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "vir/liveness.hpp"
 #include "vir/vir.hpp"
 
 namespace safara::vir {
+
+struct BasicBlock {
+  std::int32_t begin = 0;  // first instruction index
+  std::int32_t end = 0;    // one past the last instruction
+  std::vector<std::int32_t> succs;
+};
 
 struct Cfg {
   std::vector<BasicBlock> blocks;
@@ -33,16 +41,11 @@ struct Cfg {
   std::vector<std::int32_t> block_of;
 };
 
-/// Builds blocks (labels-as-leaders), predecessor lists, reachability, the
-/// dominator tree (iterative bitset dataflow — the CFGs are tiny), and
-/// dominance frontiers.
-Cfg build_dominator_cfg(const Kernel& k);
-
-/// Per-block liveness bitsets over an arbitrary block partition: the one
-/// backward dataflow in the compiler, behind compute_live_intervals,
-/// max_live_pressure, SSA pruning, copy coalescing and the coloring
-/// allocator. Each array holds one `words`-long bitset per block, block b's
-/// at [b * words, (b + 1) * words).
+/// Per-block liveness bitsets: the one backward dataflow in the compiler,
+/// behind live extents and intervals, max_live_pressure, SSA pruning, copy
+/// coalescing, the coloring allocator and the simulator's entry-live set.
+/// Each array holds one `words`-long bitset per block, block b's at
+/// [b * words, (b + 1) * words).
 struct BlockLiveness {
   std::size_t words = 0;  // 64-bit words per bitset
   std::vector<std::uint64_t> live_in;
@@ -58,12 +61,10 @@ struct BlockLiveness {
   }
 };
 
-BlockLiveness compute_block_liveness(const Kernel& k,
-                                     const std::vector<BasicBlock>& blocks);
-
-/// The analyses one kernel's pass pipeline shares: the label-led blocks and
-/// their edges, the dominator tree and frontiers, and block liveness. Each
-/// is built on first use and kept until the code changes.
+/// The analyses of one kernel: the label-led blocks and their edges, the
+/// dominator tree and frontiers, and block liveness. Each is built on first
+/// use and kept until the code changes. Blocks are never empty, so a kernel
+/// without code has no blocks.
 ///
 /// The bundle is bound to one kernel. Whoever changes that kernel's code
 /// calls `invalidate()`; the next read re-derives the block boundaries and
@@ -100,5 +101,26 @@ class Analyses {
   int dom_builds_ = 0;
   int liveness_runs_ = 0;
 };
+
+/// Hole-free live extent of every vreg (registers live across a backedge
+/// span the whole loop): vreg r is occupied on [start[r], end[r]], and
+/// start[r] == -1 when it is never used or defined. `a` is bound to `k`.
+struct LiveExtents {
+  std::vector<std::int32_t> start;
+  std::vector<std::int32_t> end;
+};
+LiveExtents compute_live_extents(const Kernel& k, Analyses& a);
+
+/// Conservative (hole-free) live interval of a virtual register, in
+/// instruction indices: the register is considered occupied on [start, end].
+struct LiveInterval {
+  std::uint32_t vreg = 0;
+  std::int32_t start = 0;
+  std::int32_t end = 0;
+};
+
+/// One interval per vreg with an extent, ordered by start: the input of the
+/// linear-scan allocator. Never-used vregs get no interval.
+std::vector<LiveInterval> compute_live_intervals(const Kernel& k);
 
 }  // namespace safara::vir

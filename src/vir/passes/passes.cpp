@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "vir/cfg.hpp"
-#include "vir/liveness.hpp"
 #include "vir/ssa.hpp"
 
 namespace safara::vir::passes {
@@ -43,32 +42,6 @@ void rewrite_uses(Kernel& k, std::uint32_t from, std::uint32_t to) {
   }
 }
 
-/// Compacts out instructions marked dead and remaps the label table (labels
-/// store instruction indices; branch operands store label ids and need no
-/// fixing). A label on a removed instruction moves to the next survivor.
-int remove_dead(Kernel& k, const std::vector<char>& dead) {
-  const std::int32_t n = static_cast<std::int32_t>(k.code.size());
-  std::vector<std::int32_t> new_index(static_cast<std::size_t>(n) + 1, 0);
-  std::int32_t kept = 0;
-  for (std::int32_t i = 0; i < n; ++i) {
-    new_index[static_cast<std::size_t>(i)] = kept;
-    if (!dead[static_cast<std::size_t>(i)]) ++kept;
-  }
-  new_index[static_cast<std::size_t>(n)] = kept;
-  if (kept == n) return 0;
-
-  std::vector<Instr> code;
-  code.reserve(static_cast<std::size_t>(kept));
-  for (std::int32_t i = 0; i < n; ++i) {
-    if (!dead[static_cast<std::size_t>(i)]) code.push_back(k.code[static_cast<std::size_t>(i)]);
-  }
-  k.code = std::move(code);
-  for (std::int32_t& target : k.labels) {
-    if (target >= 0 && target <= n) target = new_index[static_cast<std::size_t>(target)];
-  }
-  return n - kept;
-}
-
 }  // namespace
 
 int max_live_pressure(const Kernel& k) {
@@ -78,7 +51,7 @@ int max_live_pressure(const Kernel& k) {
 
 int max_live_pressure(const Kernel& k, Analyses& a) {
   if (k.code.empty()) return 0;
-  const LiveExtents x = compute_live_extents(k, a.blocks(), a.liveness());
+  const LiveExtents x = compute_live_extents(k, a);
   std::vector<int> delta(k.code.size() + 1, 0);
   for (std::uint32_t r = 0; r < k.num_vregs(); ++r) {
     const int w = registers_of(k.vreg_types[r]);

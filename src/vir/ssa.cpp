@@ -10,31 +10,6 @@ namespace safara::vir::ssa {
 
 namespace {
 
-/// Compacts out instructions marked dead and remaps the label table (same
-/// contract as the passes' remove_dead: labels store instruction indices, a
-/// label on a removed instruction moves to the next survivor).
-void compact_code(Kernel& k, const std::vector<char>& dead) {
-  const std::int32_t n = static_cast<std::int32_t>(k.code.size());
-  std::vector<std::int32_t> new_index(static_cast<std::size_t>(n) + 1, 0);
-  std::int32_t kept = 0;
-  for (std::int32_t i = 0; i < n; ++i) {
-    new_index[static_cast<std::size_t>(i)] = kept;
-    if (!dead[static_cast<std::size_t>(i)]) ++kept;
-  }
-  new_index[static_cast<std::size_t>(n)] = kept;
-  if (kept == n) return;
-
-  std::vector<Instr> code;
-  code.reserve(static_cast<std::size_t>(kept));
-  for (std::int32_t i = 0; i < n; ++i) {
-    if (!dead[static_cast<std::size_t>(i)]) code.push_back(k.code[static_cast<std::size_t>(i)]);
-  }
-  k.code = std::move(code);
-  for (std::int32_t& target : k.labels) {
-    if (target >= 0 && target <= n) target = new_index[static_cast<std::size_t>(target)];
-  }
-}
-
 SourceLoc first_valid_loc(const Kernel& k) {
   for (const Instr& in : k.code) {
     if (in.loc.valid()) return in.loc;
@@ -177,7 +152,7 @@ int coalesce_copies(Kernel& k, const std::vector<char>& candidate, Analyses& a) 
     if (in.b != kNoReg) in.b = find(in.b);
     if (in.c != kNoReg) in.c = find(in.c);
   }
-  compact_code(k, dead);
+  remove_dead(k, dead);
   return merged;
 }
 
@@ -406,7 +381,7 @@ ConstructStats construct(Kernel& k, Analyses& a) {
     fs.pop_back();
   }
 
-  if (stats.copies_folded > 0) compact_code(k, dead);
+  if (stats.copies_folded > 0) remove_dead(k, dead);
   a.invalidate();
   return stats;
 }

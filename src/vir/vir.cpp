@@ -100,6 +100,29 @@ bool has_dst(Opcode op) {
   }
 }
 
+int remove_dead(Kernel& k, const std::vector<char>& dead) {
+  const std::int32_t n = static_cast<std::int32_t>(k.code.size());
+  std::vector<std::int32_t> new_index(static_cast<std::size_t>(n) + 1, 0);
+  std::int32_t kept = 0;
+  for (std::int32_t i = 0; i < n; ++i) {
+    new_index[static_cast<std::size_t>(i)] = kept;
+    if (!dead[static_cast<std::size_t>(i)]) ++kept;
+  }
+  new_index[static_cast<std::size_t>(n)] = kept;
+  if (kept == n) return 0;
+
+  std::vector<Instr> code;
+  code.reserve(static_cast<std::size_t>(kept));
+  for (std::int32_t i = 0; i < n; ++i) {
+    if (!dead[static_cast<std::size_t>(i)]) code.push_back(k.code[static_cast<std::size_t>(i)]);
+  }
+  k.code = std::move(code);
+  for (std::int32_t& target : k.labels) {
+    if (target >= 0 && target <= n) target = new_index[static_cast<std::size_t>(target)];
+  }
+  return n - kept;
+}
+
 const char* to_string(SpecialReg r) {
   switch (r) {
     case SpecialReg::kTidX: return "%tid.x";

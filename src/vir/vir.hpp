@@ -141,6 +141,14 @@ struct Instr {
   }
 };
 
+/// Invokes `fn(vreg)` for every register the instruction reads.
+template <typename Fn>
+void for_each_use(const Instr& in, Fn&& fn) {
+  if (in.a != kNoReg) fn(in.a);
+  if (in.b != kNoReg) fn(in.b);
+  if (in.c != kNoReg) fn(in.c);
+}
+
 /// What a kernel formal parameter carries; the host runtime assembles the
 /// actual parameter buffer from these descriptors at launch time.
 struct ParamInfo {
@@ -180,6 +188,12 @@ struct Kernel {
   /// allocator to equal results, which is what lets a compile reuse them.
   bool operator==(const Kernel&) const = default;
 };
+
+/// Compacts out the instructions marked in `dead` and remaps the label table
+/// (labels store instruction indices; branch operands store label ids and
+/// need no fixing). A label on a removed instruction moves to the next
+/// survivor. Returns the number of instructions removed.
+int remove_dead(Kernel& k, const std::vector<char>& dead);
 
 /// Disassembles to PTX-flavoured text for tests and debugging.
 std::string to_string(const Instr& in, const Kernel& k);

@@ -13,7 +13,7 @@
 #include "opt/safara.hpp"
 #include "opt/scalar_replacement.hpp"
 #include "tests_common.hpp"
-#include "vir/liveness.hpp"
+#include "vir/cfg.hpp"
 #include "vir/passes/passes.hpp"
 #include "workloads/workloads.hpp"
 

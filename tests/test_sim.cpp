@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdlib>
 #include <string>
 #include <thread>
 
@@ -446,11 +445,6 @@ void f(int n, const float *x, float *y) {
 // launch produces bit-identical LaunchStats, per-SM profiles, and device
 // memory.
 
-/// Restores the process thread budget when a test exits (even on failure).
-struct SimThreadGuard {
-  ~SimThreadGuard() { vgpu::set_sim_threads(0); }
-};
-
 struct SimSnapshot {
   std::string result;    // RunResult::to_json — merged LaunchStats, all fields
   std::string profiles;  // Collector::sim_to_json — per-SM profiles per launch
@@ -466,37 +460,6 @@ SimSnapshot snapshot_workload(const workloads::Workload& w, int threads) {
   s.profiles = collector.sim_to_json().dump(2);
   s.checksum = r.checksum;
   return s;
-}
-
-TEST(SimDeterminism, SimThreadsEnvParsedStrictly) {
-  // With no programmatic override, sim_threads() consults SAFARA_SIM_THREADS
-  // on every call. atoi used to turn "3abc" into 3 and "abc" into 0 threads;
-  // the strict parser ignores malformed values and keeps the default.
-  SimThreadGuard guard;
-  vgpu::set_sim_threads(0);
-  const char* kVar = "SAFARA_SIM_THREADS";
-  const char* saved = std::getenv(kVar);
-  const std::string saved_copy = saved ? saved : "";
-
-  ::unsetenv(kVar);
-  const int fallback = vgpu::sim_threads();
-  EXPECT_GE(fallback, 1);
-  ::setenv(kVar, "3", 1);
-  EXPECT_EQ(vgpu::sim_threads(), 3);
-  for (const char* bad : {"abc", "3abc", "", " 3", "-2", "0"}) {
-    ::setenv(kVar, bad, 1);
-    EXPECT_EQ(vgpu::sim_threads(), fallback) << "value: '" << bad << "'";
-  }
-  // The programmatic override still beats a valid env value.
-  ::setenv(kVar, "3", 1);
-  vgpu::set_sim_threads(2);
-  EXPECT_EQ(vgpu::sim_threads(), 2);
-
-  if (saved) {
-    ::setenv(kVar, saved_copy.c_str(), 1);
-  } else {
-    ::unsetenv(kVar);
-  }
 }
 
 TEST(SimDeterminism, AllWorkloadsBitIdenticalAcrossThreadCounts) {

@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "vir/cfg.hpp"
-#include "vir/liveness.hpp"
 #include "vir/passes/passes.hpp"
 #include "vir/ssa.hpp"
 #include "vir/vir.hpp"
@@ -98,7 +97,7 @@ int phi_count(const Kernel& k) {
 
 TEST(DomCfg, LoopHeaderDominatesBodyAndExit) {
   KB b = make_loop_kernel();
-  const Cfg cfg = build_dominator_cfg(b.k);
+  const Cfg cfg = Analyses(b.k).cfg();
   ASSERT_GE(cfg.blocks.size(), 3u);
   // Find the block starting at the loop head (instruction 3).
   std::int32_t head = cfg.block_of[3];
@@ -118,8 +117,9 @@ TEST(DomCfg, LoopHeaderDominatesBodyAndExit) {
 
 TEST(DomCfg, BlockLivenessSeesLoopCarriedValue) {
   KB b = make_loop_kernel();
-  const Cfg cfg = build_dominator_cfg(b.k);
-  const BlockLiveness bl = compute_block_liveness(b.k, cfg.blocks);
+  Analyses a(b.k);
+  const Cfg& cfg = a.cfg();
+  const BlockLiveness& bl = a.liveness();
   const std::size_t head = static_cast<std::size_t>(cfg.block_of[3]);
   // iv (vreg 0) is live into the header along both edges.
   EXPECT_TRUE(bl.live_in_at(head, 0));
@@ -132,7 +132,8 @@ TEST(DomCfg, BlockLivenessSeesLoopCarriedValue) {
 
 /// The bundle must read exactly what fresh builds on the current code give.
 void expect_fresh(Analyses& a, const Kernel& k) {
-  const Cfg fresh = build_dominator_cfg(k);
+  Analyses fresh_analyses(k);
+  const Cfg& fresh = fresh_analyses.cfg();
   const Cfg& got = a.cfg();
   ASSERT_EQ(got.blocks.size(), fresh.blocks.size());
   for (std::size_t b = 0; b < fresh.blocks.size(); ++b) {
@@ -146,7 +147,7 @@ void expect_fresh(Analyses& a, const Kernel& k) {
   EXPECT_EQ(got.idom, fresh.idom);
   EXPECT_EQ(got.dom_children, fresh.dom_children);
   EXPECT_EQ(got.dom_frontier, fresh.dom_frontier);
-  const BlockLiveness live = compute_block_liveness(k, fresh.blocks);
+  const BlockLiveness& live = fresh_analyses.liveness();
   EXPECT_EQ(a.liveness().live_in, live.live_in);
   EXPECT_EQ(a.liveness().live_out, live.live_out);
 }
@@ -224,7 +225,7 @@ TEST(SsaConstruct, PlacesPhiAtLoopHeader) {
   EXPECT_EQ(phi_count(b.k), stats.phis);
   // The phi sits at the head of the loop-header block and carries two
   // operands (entry and latch values).
-  const Cfg cfg = build_dominator_cfg(b.k);
+  const Cfg cfg = Analyses(b.k).cfg();
   bool found = false;
   for (const Instr& in : b.k.code) {
     if (in.op != Opcode::kPhi) continue;

@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdlib>
 #include <cstring>
 #include <functional>
 #include <string>
@@ -351,37 +350,30 @@ TEST(EvalGrid, ParallelismRespectsBudgetAndCellCount) {
   EXPECT_EQ(driver::grid_parallelism(100), 8);  // capped by the thread budget
   driver::set_grid_threads(1);
   EXPECT_EQ(driver::grid_parallelism(100), 1);
-  driver::set_grid_threads(0);  // back to SAFARA_GRID_THREADS / sim_threads()
+  driver::set_grid_threads(0);  // back to sim_threads()
 }
 
-TEST(EvalGrid, GridThreadsEnvParsedStrictly) {
-  // With no programmatic override, grid_threads() reads SAFARA_GRID_THREADS
-  // per call. Malformed values ("2abc" was worth 2 under atoi, "abc" worth 0)
-  // must be ignored in favour of the sim_threads() fallback.
+TEST(EvalGrid, ThreadBudgetsDefaultToTheHostAndSettersOverride) {
+  // The sim budget defaults to the host's hardware concurrency and the grid
+  // budget to the sim budget; each setter overrides its own budget, and
+  // n <= 0 restores the default.
   BudgetGuard guard;
+  vgpu::set_sim_threads(0);
   driver::set_grid_threads(0);
-  vgpu::set_sim_threads(5);  // pins the fallback so it is distinguishable
-  const char* kVar = "SAFARA_GRID_THREADS";
-  const char* saved = std::getenv(kVar);
-  const std::string saved_copy = saved ? saved : "";
-
-  ::unsetenv(kVar);
-  EXPECT_EQ(driver::grid_threads(), 5);
-  ::setenv(kVar, "2", 1);
-  EXPECT_EQ(driver::grid_threads(), 2);
-  for (const char* bad : {"abc", "2abc", "", " 2", "-1", "0"}) {
-    ::setenv(kVar, bad, 1);
-    EXPECT_EQ(driver::grid_threads(), 5) << "value: '" << bad << "'";
-  }
-  ::setenv(kVar, "2", 1);
-  driver::set_grid_threads(7);  // programmatic override beats the env
+  const unsigned hc = std::thread::hardware_concurrency();
+  const int host = hc > 0 ? static_cast<int>(hc) : 1;
+  EXPECT_EQ(vgpu::sim_threads(), host);
+  EXPECT_EQ(driver::grid_threads(), host);
+  vgpu::set_sim_threads(3);
+  EXPECT_EQ(vgpu::sim_threads(), 3);
+  EXPECT_EQ(driver::grid_threads(), 3);
+  driver::set_grid_threads(7);
   EXPECT_EQ(driver::grid_threads(), 7);
-
-  if (saved) {
-    ::setenv(kVar, saved_copy.c_str(), 1);
-  } else {
-    ::unsetenv(kVar);
-  }
+  EXPECT_EQ(vgpu::sim_threads(), 3);
+  vgpu::set_sim_threads(-2);
+  EXPECT_EQ(vgpu::sim_threads(), host);
+  driver::set_grid_threads(0);
+  EXPECT_EQ(driver::grid_threads(), host);
 }
 
 TEST(EvalGrid, CellResultsBitIdenticalAcrossParallelism) {

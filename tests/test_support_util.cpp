@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdlib>
 #include <numeric>
 #include <stdexcept>
 #include <vector>
@@ -80,18 +79,6 @@ TEST(StringUtil, ParseIntStrict) {
   EXPECT_EQ(parse_int_strict("x42"), std::nullopt);
   EXPECT_EQ(parse_int_strict("-"), std::nullopt);
   EXPECT_EQ(parse_int_strict("99999999999999999999"), std::nullopt);  // overflow
-}
-
-TEST(StringUtil, EnvIntParsesStrictly) {
-  ::unsetenv("SAFARA_TEST_ENV_INT");
-  EXPECT_EQ(env_int("SAFARA_TEST_ENV_INT"), std::nullopt);
-  ::setenv("SAFARA_TEST_ENV_INT", "6", 1);
-  EXPECT_EQ(env_int("SAFARA_TEST_ENV_INT"), 6);
-  ::setenv("SAFARA_TEST_ENV_INT", "6abc", 1);  // atoi would have read 6
-  EXPECT_EQ(env_int("SAFARA_TEST_ENV_INT"), std::nullopt);
-  ::setenv("SAFARA_TEST_ENV_INT", "", 1);
-  EXPECT_EQ(env_int("SAFARA_TEST_ENV_INT"), std::nullopt);
-  ::unsetenv("SAFARA_TEST_ENV_INT");
 }
 
 TEST(StringUtil, StartsWithAndJoin) {

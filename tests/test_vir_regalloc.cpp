@@ -1,4 +1,4 @@
-// Tests for the virtual ISA utilities: CFG construction, liveness, and the
+// Tests for the virtual ISA utilities: block partition, liveness, and the
 // ptxas-sim linear-scan allocator (register counts, 64-bit pairing, spills
 // with their full accounting, and end-to-end correctness under spilling).
 #include <gtest/gtest.h>
@@ -7,10 +7,14 @@
 #include <functional>
 #include <iterator>
 #include <limits>
+#include <string>
+#include <vector>
 
+#include "fuzz/generator.hpp"
 #include "regalloc/regalloc.hpp"
 #include "tests_common.hpp"
-#include "vir/liveness.hpp"
+#include "vir/cfg.hpp"
+#include "vir/passes/passes.hpp"
 #include "vir/vir.hpp"
 
 namespace safara::vir {
@@ -52,7 +56,8 @@ TEST(Cfg, StraightLineIsOneBlock) {
   b.emit(Opcode::kMovImmI, VType::kI32, r0).imm = 1;
   b.emit(Opcode::kAdd, VType::kI32, r1, r0, r0);
   b.emit(Opcode::kExit, VType::kI32);
-  auto blocks = build_cfg(b.k);
+  Analyses a(b.k);
+  const std::vector<BasicBlock>& blocks = a.blocks();
   ASSERT_EQ(blocks.size(), 1u);
   EXPECT_TRUE(blocks[0].succs.empty());
 }
@@ -80,7 +85,8 @@ TEST(Cfg, LoopHasBackedge) {
   b.place(exit);
   b.emit(Opcode::kExit, VType::kI32);
 
-  auto blocks = build_cfg(b.k);
+  Analyses a(b.k);
+  const std::vector<BasicBlock>& blocks = a.blocks();
   ASSERT_GE(blocks.size(), 3u);
   bool has_backedge = false;
   for (std::size_t i = 0; i < blocks.size(); ++i) {
@@ -89,6 +95,66 @@ TEST(Cfg, LoopHasBackedge) {
     }
   }
   EXPECT_TRUE(has_backedge);
+}
+
+TEST(Cfg, ReconvergenceLabelStartsABlock) {
+  // The cbr branches to `else_l`; `join_l` is only its reconvergence label,
+  // so no branch targets it, and it still starts a block.
+  KB b;
+  auto x = b.reg(VType::kI32);
+  auto t = b.reg(VType::kI32);
+  auto e = b.reg(VType::kI32);
+  auto p = b.reg(VType::kPred);
+  std::int32_t else_l = b.label();
+  std::int32_t join_l = b.label();
+  b.emit(Opcode::kMovImmI, VType::kI32, x).imm = 1;            // 0
+  b.emit(Opcode::kSetLt, VType::kI32, p, x, x);                // 1
+  {
+    Instr& br = b.emit(Opcode::kCbr, VType::kI32, kNoReg, p);  // 2
+    br.imm = else_l;
+    br.imm2 = join_l;
+  }
+  b.emit(Opcode::kAdd, VType::kI32, t, x, x);                  // 3
+  b.place(else_l);
+  b.emit(Opcode::kAdd, VType::kI32, e, x, x);                  // 4
+  b.place(join_l);
+  b.emit(Opcode::kAdd, VType::kI32, t, e, e);                  // 5
+  b.emit(Opcode::kExit, VType::kI32);                          // 6
+
+  Analyses a(b.k);
+  const std::vector<BasicBlock>& blocks = a.blocks();
+  ASSERT_EQ(blocks.size(), 4u);
+  EXPECT_EQ(blocks[2].begin, 4);
+  EXPECT_EQ(blocks[2].end, 5);
+  EXPECT_EQ(blocks[3].begin, 5);
+  EXPECT_EQ(blocks[3].end, 7);
+  // The else block falls through into the join block.
+  EXPECT_EQ(blocks[2].succs, std::vector<std::int32_t>{3});
+}
+
+TEST(Cfg, BranchOutsideTheCodeAddsNoEdge) {
+  // One cbr targets a label placed past the last instruction, one bra an
+  // unplaced label: neither target is an instruction, so neither is an edge.
+  KB b;
+  auto x = b.reg(VType::kI32);
+  auto p = b.reg(VType::kPred);
+  std::int32_t end_l = b.label();
+  std::int32_t unplaced = b.label();
+  b.emit(Opcode::kMovImmI, VType::kI32, x).imm = 1;            // 0
+  b.emit(Opcode::kSetLt, VType::kI32, p, x, x);                // 1
+  {
+    Instr& br = b.emit(Opcode::kCbr, VType::kI32, kNoReg, p);  // 2
+    br.imm = end_l;
+    br.imm2 = end_l;
+  }
+  b.emit(Opcode::kBra, VType::kI32).imm = unplaced;            // 3
+  b.place(end_l);
+
+  Analyses a(b.k);
+  const std::vector<BasicBlock>& blocks = a.blocks();
+  ASSERT_EQ(blocks.size(), 2u);
+  EXPECT_EQ(blocks[0].succs, std::vector<std::int32_t>{1});  // the fallthrough alone
+  EXPECT_TRUE(blocks[1].succs.empty());
 }
 
 TEST(Liveness, LoopCarriedValueSpansLoop) {
@@ -668,6 +734,43 @@ void spill_stress(int n, int m, float alpha, const float b[n][m], float a[n][m])
     }
   }
 })";
+
+TEST(Liveness, LabelOnlySplitChangesNoResult) {
+  // Liveness consumers read only per-point liveness, which every partition
+  // of the code yields alike: a label nothing branches to, placed in the
+  // middle of a block, splits that block and changes no allocation (with
+  // and without spilling) and no pressure.
+  regalloc::AllocatorOptions capped;
+  capped.max_registers = 16;
+  int splits = 0;
+  for (const driver::CompilerOptions& opts : {driver::CompilerOptions::openuh_base(),
+                                              driver::CompilerOptions::openuh_safara_clauses()}) {
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+      SCOPED_TRACE((opts.enable_safara ? "safara_clauses seed " : "base seed ") +
+                   std::to_string(seed));
+      driver::Compiler compiler(opts);
+      const driver::CompiledProgram prog = compiler.compile(fuzz::generate_program(seed));
+      for (const driver::CompiledKernel& ck : prog.kernels) {
+        const vir::Kernel& k = ck.kernel;
+        vir::Analyses analyses(k);
+        const std::size_t nblocks = analyses.blocks().size();
+        for (const vir::BasicBlock& bb : analyses.blocks()) {
+          if (bb.end - bb.begin < 2) continue;
+          vir::Kernel split = k;
+          split.labels.push_back(bb.begin + (bb.end - bb.begin) / 2);
+          ASSERT_EQ(vir::Analyses(split).blocks().size(), nblocks + 1);
+          EXPECT_EQ(vir::passes::max_live_pressure(split), vir::passes::max_live_pressure(k));
+          for (const regalloc::AllocatorOptions& ao : {regalloc::AllocatorOptions{}, capped}) {
+            EXPECT_EQ(regalloc::allocate_color(split, ao), regalloc::allocate_color(k, ao));
+            EXPECT_EQ(regalloc::allocate_linear(split, ao), regalloc::allocate_linear(k, ao));
+          }
+          ++splits;
+        }
+      }
+    }
+  }
+  EXPECT_GT(splits, 0);
+}
 
 TEST(RegallocEndToEnd, SpilledKernelStillComputesCorrectResults) {
   // Clamp the register file hard enough to force spills, then demand the

@@ -30,6 +30,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ast/printer.hpp"
@@ -454,6 +455,29 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "safcc: expected exactly one input (<file.acc> or --workload NAME)\n");
     usage();
     return 2;
+  }
+  // The dump is alone on stdout (tools/update_golden.py captures it
+  // verbatim), so it refuses every flag whose output it would drop.
+  if (dump_vir) {
+    const std::pair<bool, const char*> dropped[] = {
+        {emit_vir, "--emit-vir"},
+        {emit_source, "--emit-source"},
+        {time_passes, "--time-passes"},
+        {alloc_stats, "--alloc-stats"},
+        {!trace_out.empty(), "--trace-out"},
+        {!metrics_out.empty(), "--metrics-out"},
+        {simulate, "--simulate"},
+        {sim_profile, "--sim-profile"},
+        {!sim_profile_out.empty(), "--sim-profile-out"},
+        {annotate, "--annotate"},
+        {sim_compare, "--sim-compare"},
+    };
+    for (const auto& [set, flag] : dropped) {
+      if (set) {
+        std::fprintf(stderr, "safcc: --dump-vir cannot be combined with %s\n", flag);
+        return 2;
+      }
+    }
   }
   // Every attribution view needs dynamic data, i.e. a simulated launch.
   const bool profiling = sim_profile || annotate || !sim_profile_out.empty();
