@@ -16,13 +16,10 @@
 // report's rows as one document; the fig11/* rows are what
 // tools/check_perf_regression.py gates.
 #include <algorithm>
-#include <climits>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <functional>
 #include <map>
-#include <optional>
 #include <set>
 #include <string>
 #include <utility>
@@ -752,20 +749,6 @@ struct Distinct {
   RunResult result;
 };
 
-[[noreturn]] void usage_error(const std::vector<ReportSpec>& specs, const std::string& message) {
-  std::fprintf(stderr, "reproduce: %s\n", message.c_str());
-  std::fprintf(stderr,
-               "usage: reproduce [--only NAME[,NAME...]] [--json FILE] [--grid-threads N]"
-               " [run flags]\n  run flags:");
-  for (const driver::RunFlag& flag : driver::run_flags()) {
-    std::fprintf(stderr, " %.*s", static_cast<int>(flag.name.size()), flag.name.data());
-  }
-  std::fprintf(stderr, "\n  reports:");
-  for (const ReportSpec& spec : specs) std::fprintf(stderr, " %s", spec.name.c_str());
-  std::fprintf(stderr, "\n");
-  std::exit(2);
-}
-
 bool write_json(const std::string& path, const std::vector<Row>& rows,
                 const driver::RunOptions& run, int grid_parallelism) {
   // Every row carries the settings it was produced under, so baseline files
@@ -805,38 +788,31 @@ int run_main(int argc, char** argv) {
   driver::RunOptions run;
   std::string json_path;
   std::set<std::string> only;
-  for (int i = 1; i < argc; ++i) {
-    if (driver::parse_run_flag("reproduce", argc, argv, i, run)) continue;
-    const std::string arg = argv[i];
-    // `--flag value` or `--flag=value` for the flags below.
-    std::optional<std::string> value;
-    std::string flag = arg;
-    if (const std::size_t eq = arg.find('='); arg.starts_with("--") && eq != std::string::npos) {
-      flag = arg.substr(0, eq);
-      value = arg.substr(eq + 1);
-    }
-    if (flag != "--json" && flag != "--grid-threads" && flag != "--only") {
-      usage_error(specs, "unknown argument '" + arg + "'");
-    }
-    if (!value && i + 1 < argc) value = argv[++i];
-    if (!value || value->empty()) usage_error(specs, "missing value for '" + flag + "'");
-    if (flag == "--json") {
-      json_path = *value;
-    } else if (flag == "--grid-threads") {
-      const std::optional<long long> n = parse_int_strict(*value);
-      if (!n || *n < INT_MIN || *n > INT_MAX) {
-        usage_error(specs, "--grid-threads expects an integer, got '" + *value + "'");
-      }
-      driver::set_grid_threads(static_cast<int>(*n));
-    } else {
-      for (const std::string& name : split(*value, ',')) {
-        const bool known = std::any_of(specs.begin(), specs.end(),
-                                       [&](const ReportSpec& s) { return s.name == name; });
-        if (!known) usage_error(specs, "unknown report '" + name + "' in --only");
-        only.insert(name);
-      }
-    }
+  int grid_threads = 0;
+  driver::Command cmd{
+      .prog = "reproduce",
+      .synopsis = "[flags]",
+      .flags = {
+          {"--only", "report names, comma-separated",
+           [&only](std::string_view names) {
+             for (std::string& name : split(names, ',')) only.insert(std::move(name));
+             return true;
+           }},
+          driver::text_flag("--json", "a file name", json_path),
+          driver::int_flag("--grid-threads", grid_threads),
+      },
+      .operand = nullptr,
+      .epilogue = "reports:",
+  };
+  for (driver::Flag& flag : driver::run_flags(run)) cmd.flags.push_back(std::move(flag));
+  for (const ReportSpec& spec : specs) cmd.epilogue += " " + spec.name;
+  driver::parse_flags(cmd, argc, argv);
+  for (const std::string& name : only) {
+    const bool known = std::any_of(specs.begin(), specs.end(),
+                                   [&](const ReportSpec& s) { return s.name == name; });
+    if (!known) driver::usage_error(cmd, "unknown report '" + name + "' in --only");
   }
+  driver::set_grid_threads(grid_threads);
   vgpu::set_sim_threads(run.sim.threads);
 
   // Declare every selected report's cells and key them.

@@ -272,11 +272,6 @@ FunctionPtr Function::clone() const {
   return f;
 }
 
-FunctionPtr clone_into(const Function& fn, support::Arena& arena) {
-  support::ArenaScope scope(arena);
-  return fn.clone();
-}
-
 Function* Program::find(const std::string& fn_name) const {
   auto it = std::find_if(functions.begin(), functions.end(),
                          [&](const FunctionPtr& f) { return f->name == fn_name; });

@@ -56,12 +56,6 @@ struct Program {
   Function* find(const std::string& name) const;
 };
 
-/// Deep-clones `fn` with every node of the copy bump-allocated from `arena`
-/// (installs a support::ArenaScope around the clone). The returned tree must
-/// not outlive the arena, and no pointer into it may be held across the
-/// arena's reset() — see docs/ALLOCATION.md.
-FunctionPtr clone_into(const Function& fn, support::Arena& arena);
-
 const char* to_string(ArrayDeclKind k);
 
 }  // namespace safara::ast

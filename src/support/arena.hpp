@@ -82,7 +82,6 @@ class Arena {
   void reset();
 
   const ArenaStats& stats() const { return stats_; }
-  std::size_t bytes_live() const { return stats_.bytes_live; }
 
  private:
   struct Chunk {

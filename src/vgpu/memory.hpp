@@ -57,8 +57,6 @@ class DeviceMemory {
     std::memcpy(dst, storage_.data() + (addr - kBase), bytes);
   }
 
-  std::size_t bytes_in_use() const { return top_; }
-
  private:
   void check(std::uint64_t addr, std::size_t bytes) const {
     if (addr < kBase || addr - kBase + bytes > storage_.size()) {

@@ -56,9 +56,6 @@ struct BlockLiveness {
   bool live_in_at(std::size_t block, std::uint32_t vreg) const {
     return (in(block)[vreg / 64] >> (vreg % 64)) & 1;
   }
-  bool live_out_at(std::size_t block, std::uint32_t vreg) const {
-    return (out(block)[vreg / 64] >> (vreg % 64)) & 1;
-  }
 };
 
 /// The analyses of one kernel: the label-led blocks and their edges, the

@@ -44,11 +44,6 @@ void rewrite_uses(Kernel& k, std::uint32_t from, std::uint32_t to) {
 
 }  // namespace
 
-int max_live_pressure(const Kernel& k) {
-  Analyses a(k);
-  return max_live_pressure(k, a);
-}
-
 int max_live_pressure(const Kernel& k, Analyses& a) {
   if (k.code.empty()) return 0;
   const LiveExtents x = compute_live_extents(k, a);
@@ -135,11 +130,6 @@ GvnKey make_gvn_key(const Instr& in, const Kernel& k, const std::vector<std::uin
 }
 
 }  // namespace
-
-int run_gvn(Kernel& k) {
-  Analyses a(k);
-  return run_gvn(k, a);
-}
 
 int run_gvn(Kernel& k, Analyses& a) {
   if (k.code.empty()) return 0;
@@ -361,11 +351,6 @@ int run_strength_reduction(Kernel& k) {
     }
   }
   return reduced;
-}
-
-int run_pressure_scheduling(Kernel& k) {
-  Analyses a(k);
-  return run_pressure_scheduling(k, a);
 }
 
 int run_pressure_scheduling(Kernel& k, Analyses& a) {

@@ -47,8 +47,7 @@ struct PassStats {
 /// Peak number of simultaneously live 32-bit register units (predicates are
 /// free, 64-bit values count twice), from the allocator's own hole-free
 /// intervals. This is the quantity the pipeline promises never to increase.
-int max_live_pressure(const Kernel& k);
-/// The same from `a`, the analyses bound to `k`.
+/// `a` is bound to `k`.
 int max_live_pressure(const Kernel& k, Analyses& a);
 
 /// Forward-propagates `mov dst, src` through all uses of `dst` (both
@@ -60,10 +59,8 @@ int run_copy_propagation(Kernel& k);
 /// a pure instruction whose (opcode, type, operands, immediates) value was
 /// already computed by a dominating instruction is deleted and its uses
 /// redirected. Reverted wholesale if peak pressure would grow (merging
-/// immediates across blocks can lengthen live ranges). Returns hits.
-int run_gvn(Kernel& k);
-/// The same on the analyses bound to `k`, which it keeps in step with the
-/// code it leaves.
+/// immediates across blocks can lengthen live ranges). Returns hits. `a` is
+/// bound to `k`; it is kept in step with the code the pass leaves.
 int run_gvn(Kernel& k, Analyses& a);
 
 /// Deletes pure instructions (and side-effect-free global loads) whose
@@ -79,10 +76,8 @@ int run_strength_reduction(Kernel& k);
 /// Sethi–Ullman-flavoured pressure scheduling: independent pure single-def
 /// ops sink within their basic block to just before their first use, which
 /// shortens their live range before linear scan. Reverted wholesale if peak
-/// pressure would grow. Returns instructions moved.
-int run_pressure_scheduling(Kernel& k);
-/// The same on the analyses bound to `k`. Moves stay inside their blocks,
-/// so the analyses stay valid.
+/// pressure would grow. Returns instructions moved. `a` is bound to `k`;
+/// moves stay inside their blocks, so it stays valid.
 int run_pressure_scheduling(Kernel& k, Analyses& a);
 
 /// The pipeline behind --opt-level:

@@ -158,11 +158,6 @@ int coalesce_copies(Kernel& k, const std::vector<char>& candidate, Analyses& a) 
 
 }  // namespace
 
-ConstructStats construct(Kernel& k) {
-  Analyses a(k);
-  return construct(k, a);
-}
-
 ConstructStats construct(Kernel& k, Analyses& a) {
   ConstructStats stats;
   if (k.code.empty()) return stats;
@@ -384,11 +379,6 @@ ConstructStats construct(Kernel& k, Analyses& a) {
   if (stats.copies_folded > 0) remove_dead(k, dead);
   a.invalidate();
   return stats;
-}
-
-DestructStats destruct(Kernel& k) {
-  Analyses a(k);
-  return destruct(k, a);
 }
 
 DestructStats destruct(Kernel& k, Analyses& a) {

@@ -34,9 +34,7 @@ struct ConstructStats {
 /// original (zero-initialized) register — preserving the seed semantics for
 /// undef paths. Phi operands are ordered by ascending predecessor block
 /// index. Provenance: phis take the source location of their block head.
-ConstructStats construct(Kernel& k);
-/// The same on the analyses bound to `k`, which it leaves in step with the
-/// rewritten code.
+/// `a` is bound to `k`; it is left in step with the rewritten code.
 ConstructStats construct(Kernel& k, Analyses& a);
 
 struct DestructStats {
@@ -56,10 +54,8 @@ struct DestructStats {
 /// terminator) and the phi becomes `mov d, t` in place — the two-copy scheme
 /// that is immune to the lost-copy and swap problems without splitting
 /// edges. The minted copies are then coalesced where live ranges permit, and
-/// vregs are renumbered densely by first appearance.
-DestructStats destruct(Kernel& k);
-/// The same on the analyses bound to `k`, which it leaves in step with the
-/// rewritten code.
+/// vregs are renumbered densely by first appearance. `a` is bound to `k`;
+/// it is left in step with the rewritten code.
 DestructStats destruct(Kernel& k, Analyses& a);
 
 }  // namespace safara::vir::ssa

@@ -74,21 +74,6 @@ bool is_pure(Opcode op) {
   }
 }
 
-bool is_sfu(Opcode op) {
-  switch (op) {
-    case Opcode::kSqrt:
-    case Opcode::kRsqrt:
-    case Opcode::kExp:
-    case Opcode::kLog:
-    case Opcode::kSin:
-    case Opcode::kCos:
-    case Opcode::kPow:
-    case Opcode::kFloor:
-    case Opcode::kCeil: return true;
-    default: return false;
-  }
-}
-
 bool has_dst(Opcode op) {
   switch (op) {
     case Opcode::kStGlobal:

@@ -97,7 +97,6 @@ enum class Opcode : std::uint8_t {
 
 const char* to_string(Opcode op);
 bool is_pure(Opcode op);      // no side effects, no memory reads
-bool is_sfu(Opcode op);       // special-function-unit instruction
 bool has_dst(Opcode op);
 
 enum class SpecialReg : std::uint8_t {

@@ -75,7 +75,7 @@ TEST(Arena, ResetReusesTheSameMemoryDeterministically) {
   const std::size_t chunks_before = arena.stats().chunks;
   arena.reset();
   EXPECT_EQ(arena.stats().chunks, chunks_before) << "reset must not release chunks";
-  EXPECT_EQ(arena.bytes_live(), 0u);
+  EXPECT_EQ(arena.stats().bytes_live, 0u);
   // The identical allocation sequence replays to the identical addresses:
   // steady-state candidate loops touch the same cache-hot memory each round.
   for (int i = 0; i < 40; ++i) {
@@ -165,11 +165,11 @@ TEST(ArenaAllocated, HeapWithoutScopeArenaWithin) {
   {
     ArenaScope scope(arena);
     auto arena_node = std::make_unique<Node>(9);
-    EXPECT_GT(arena.bytes_live(), 0u) << "node should have come from the arena";
+    EXPECT_GT(arena.stats().bytes_live, 0u) << "node should have come from the arena";
     EXPECT_EQ(arena_node->value, 9);
   }  // unique_ptr delete: destructor runs, memory stays in the arena
   EXPECT_EQ(Node::live, 0);
-  EXPECT_GT(arena.bytes_live(), 0u) << "arena memory is reclaimed by reset, not delete";
+  EXPECT_GT(arena.stats().bytes_live, 0u) << "arena memory is reclaimed by reset, not delete";
 }
 
 TEST(ArenaAllocated, HeapNodeOutlivesTheScopeItWasNotAllocatedIn) {

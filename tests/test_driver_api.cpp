@@ -385,20 +385,33 @@ TEST(CacheKey, OptionsFingerprintCoversAllocatorAndDevice) {
   EXPECT_EQ(base, driver::options_fingerprint(b));
 }
 
-// -- the shared run-flag table ----------------------------------------------------
+// -- the shared command-line layer ----------------------------------------------
 
-/// Runs `args` (after a program name) through the run-flag table into `run`;
-/// returns the arguments it left for the binary.
-std::vector<std::string> parse_run_flags(std::vector<std::string> args,
-                                         driver::RunOptions& run) {
+/// Runs `args` (after a program name) through `cmd`; returns the flags it saw.
+std::vector<std::string_view> parse(const driver::Command& cmd, std::vector<std::string> args) {
   args.insert(args.begin(), "prog");
   std::vector<char*> argv;
   for (std::string& a : args) argv.push_back(a.data());
-  const int argc = static_cast<int>(argv.size());
+  return driver::parse_flags(cmd, static_cast<int>(argv.size()), argv.data());
+}
+
+/// Runs `args` through the run-flag table into `run`, next to a binary's own
+/// `--fn` row; returns the arguments that row was handed.
+std::vector<std::string> parse_run_flags(std::vector<std::string> args,
+                                         driver::RunOptions& run) {
   std::vector<std::string> rest;
-  for (int i = 1; i < argc; ++i) {
-    if (!driver::parse_run_flag("prog", argc, argv.data(), i, run)) rest.push_back(argv[i]);
-  }
+  driver::Command cmd{
+      .prog = "prog",
+      .synopsis = "[flags]",
+      .flags = driver::run_flags(run),
+      .operand = nullptr,
+      .epilogue = "",
+  };
+  cmd.flags.push_back({"--fn", "a function name", [&rest](std::string_view value) {
+                         rest.insert(rest.end(), {"--fn", std::string(value)});
+                         return true;
+                       }});
+  parse(cmd, std::move(args));
   return rest;
 }
 
@@ -413,12 +426,13 @@ TEST(RunFlags, EveryCompilerFlagMovesTheFingerprint) {
   driver::RunOptions base;
   base.sim.check_overlap = false;  // leaves the switch something to arm in every build
   const std::uint64_t fingerprint = driver::options_fingerprint(base.compiler);
-  for (const driver::RunFlag& flag : driver::run_flags()) {
+  driver::RunOptions run;
+  for (const driver::Flag& flag : driver::run_flags(run)) {
     SCOPED_TRACE(std::string(flag.name));
     const auto value = non_default.find(flag.name);
     ASSERT_NE(value, non_default.end()) << "no non-default value for this flag";
-    driver::RunOptions run = base;
-    ASSERT_TRUE(flag.apply(value->second, run));
+    run = base;
+    ASSERT_TRUE(flag.apply(value->second));
     if (run.sim != base.sim) continue;  // a simulator flag
     EXPECT_NE(driver::options_fingerprint(run.compiler), fingerprint);
   }
@@ -454,6 +468,83 @@ TEST(RunFlags, BadValuesExitWithAUsageError) {
               "prog: --regalloc expects 'linear' or 'color', got 'greedy'");
   EXPECT_EXIT(parse_run_flags({"--sim-dispatch"}, run), ::testing::ExitedWithCode(2),
               "prog: missing value for '--sim-dispatch'");
+}
+
+/// A throwaway command line: a text row, a ranged integer row named like a
+/// run flag, a switch and a repeatable row, writing the fields below. Its
+/// rows hold its address, so it is neither copied nor moved.
+struct Scratch {
+  Scratch() = default;
+  Scratch(const Scratch&) = delete;
+  Scratch& operator=(const Scratch&) = delete;
+
+  std::string name;
+  int threads = 0;
+  bool on = false;
+  std::vector<std::string> oracles;
+  driver::Command cmd{
+      .prog = "prog",
+      .synopsis = "[flags]",
+      .flags = {
+          driver::text_flag("--name", "a name", name),
+          driver::int_flag("--sim-threads", threads, 1, 64),
+          driver::switch_flag("--switch", on),
+          {"--oracle", "an oracle name",
+           [this](std::string_view value) {
+             oracles.emplace_back(value);
+             return true;
+           }},
+      },
+      .operand = nullptr,
+      .epilogue = "",
+  };
+};
+
+TEST(ParseFlags, AppliesBothFormsAndListsTheFlagsSeenInArgvOrder) {
+  Scratch s;
+  const std::vector<std::string_view> seen =
+      parse(s.cmd, {"--oracle", "dispatch", "--sim-threads=4", "--switch", "--name", "x",
+                    "--oracle=threads"});
+  EXPECT_EQ(seen, (std::vector<std::string_view>{"--oracle", "--sim-threads", "--switch",
+                                                 "--name", "--oracle"}));
+  EXPECT_EQ(s.oracles, (std::vector<std::string>{"dispatch", "threads"}));
+  EXPECT_EQ(s.threads, 4);
+  EXPECT_TRUE(s.on);
+  EXPECT_EQ(s.name, "x");
+  // A value is taken verbatim, even one that looks like a flag.
+  EXPECT_EQ(parse(s.cmd, {"--name", "--switch"}), (std::vector<std::string_view>{"--name"}));
+  EXPECT_EQ(s.name, "--switch");
+}
+
+TEST(ParseFlags, MalformedArgumentsExitWithOneWording) {
+  // Re-exec rather than fork, as in RunFlags.BadValuesExitWithAUsageError.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  Scratch s;
+  EXPECT_EXIT(parse(s.cmd, {"--name="}), ::testing::ExitedWithCode(2),
+              "prog: missing value for '--name'\nusage: prog \\[flags\\]");
+  EXPECT_EXIT(parse(s.cmd, {"--switch", "--name"}), ::testing::ExitedWithCode(2),
+              "prog: missing value for '--name'");
+  EXPECT_EXIT(parse(s.cmd, {"--sim-thread", "4"}), ::testing::ExitedWithCode(2),
+              "prog: unknown argument '--sim-thread'");
+  EXPECT_EXIT(parse(s.cmd, {"--switch=1"}), ::testing::ExitedWithCode(2),
+              "prog: unknown argument '--switch=1'");
+  EXPECT_EXIT(parse(s.cmd, {"input.acc"}), ::testing::ExitedWithCode(2),
+              "prog: unknown argument 'input.acc'");
+  EXPECT_EXIT(parse(s.cmd, {"--sim-threads", "65"}), ::testing::ExitedWithCode(2),
+              "prog: --sim-threads expects an integer in \\[1, 64\\], got '65'");
+  EXPECT_EXIT(parse(s.cmd, {"--sim-threads=4x"}), ::testing::ExitedWithCode(2),
+              "prog: --sim-threads expects an integer in \\[1, 64\\], got '4x'");
+  EXPECT_EXIT(parse(s.cmd, {"--help"}), ::testing::ExitedWithCode(0), "");
+  EXPECT_EXIT(parse(s.cmd, {"--bogus", "-h"}), ::testing::ExitedWithCode(2),
+              "prog: unknown argument '--bogus'");
+}
+
+TEST(ParseFlags, AnOperandGoesToTheCommandThatTakesOne) {
+  Scratch s;
+  std::string input;
+  s.cmd.operand = &input;
+  EXPECT_EQ(parse(s.cmd, {"--switch", "input.acc"}), (std::vector<std::string_view>{"--switch"}));
+  EXPECT_EQ(input, "input.acc");
 }
 
 }  // namespace

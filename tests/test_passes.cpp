@@ -366,10 +366,18 @@ TEST(VirPasses, EveryPassIsIdempotent) {
   using Runner = int (*)(vir::Kernel&);
   const std::pair<const char*, Runner> passes[] = {
       {"copy-propagation", vir::passes::run_copy_propagation},
-      {"gvn", vir::passes::run_gvn},
+      {"gvn",
+       [](vir::Kernel& k) {
+         vir::Analyses a(k);
+         return vir::passes::run_gvn(k, a);
+       }},
       {"dce", vir::passes::run_dce},
       {"strength-reduction", vir::passes::run_strength_reduction},
-      {"scheduling", vir::passes::run_pressure_scheduling},
+      {"scheduling",
+       [](vir::Kernel& k) {
+         vir::Analyses a(k);
+         return vir::passes::run_pressure_scheduling(k, a);
+       }},
   };
   for (const auto& [label, k] : pass_corpus()) {
     for (const auto& [name, run] : passes) {
@@ -428,7 +436,8 @@ TEST(VirPasses, PipelineNeverRaisesLivePressure) {
       vir::Kernel copy = k;
       vir::passes::PassStats s = vir::passes::run_pipeline(copy, level);
       EXPECT_LE(s.pressure_after, s.pressure_before) << label << " at opt-level " << level;
-      EXPECT_EQ(s.pressure_after, vir::passes::max_live_pressure(copy))
+      vir::Analyses a(copy);
+      EXPECT_EQ(s.pressure_after, vir::passes::max_live_pressure(copy, a))
           << label << ": stats disagree with the kernel";
     }
   }
@@ -454,9 +463,13 @@ TEST(VirPasses, MaxLivePressureMatchesIntervals) {
   };
   for (const auto& [label, raw] : pass_corpus()) {
     vir::Kernel k = raw;
-    EXPECT_EQ(vir::passes::max_live_pressure(k), interval_peak(k)) << label << " (raw)";
+    vir::Analyses raw_analyses(k);
+    EXPECT_EQ(vir::passes::max_live_pressure(k, raw_analyses), interval_peak(k))
+        << label << " (raw)";
     vir::passes::run_pipeline(k, 2);
-    EXPECT_EQ(vir::passes::max_live_pressure(k), interval_peak(k)) << label << " (O2)";
+    vir::Analyses o2_analyses(k);
+    EXPECT_EQ(vir::passes::max_live_pressure(k, o2_analyses), interval_peak(k))
+        << label << " (O2)";
   }
 }
 
@@ -507,7 +520,8 @@ TEST(VirPasses, GvnScopesValuesToDominators) {
   emit(Opcode::kStGlobal, i32, vir::kNoReg, e_join, e);
   emit(Opcode::kExit, i32, vir::kNoReg);
 
-  ASSERT_EQ(vir::passes::run_gvn(k), 2) << vir::to_string(k);
+  vir::Analyses a(k);
+  ASSERT_EQ(vir::passes::run_gvn(k, a), 2) << vir::to_string(k);
   int muls = 0;
   for (const Instr& in : k.code) {
     // E recomputed in an arm and in the join is merged into the entry's E...

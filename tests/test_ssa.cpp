@@ -219,7 +219,8 @@ TEST(Analyses, ReorderingInsideBlocksNeedsNoInvalidation) {
 
 TEST(SsaConstruct, PlacesPhiAtLoopHeader) {
   KB b = make_loop_kernel();
-  ssa::ConstructStats stats = ssa::construct(b.k);
+  Analyses a(b.k);
+  ssa::ConstructStats stats = ssa::construct(b.k, a);
   EXPECT_TRUE(stats.converted);
   EXPECT_GE(stats.phis, 1);
   EXPECT_EQ(phi_count(b.k), stats.phis);
@@ -256,7 +257,8 @@ TEST(SsaConstruct, StraightLineRedefinitionNeedsNoPhi) {
   b.emit(Opcode::kAdd, VType::kI32, y, x, x);
   b.emit(Opcode::kExit, VType::kI32);
 
-  ssa::ConstructStats stats = ssa::construct(b.k);
+  Analyses a(b.k);
+  ssa::ConstructStats stats = ssa::construct(b.k, a);
   EXPECT_TRUE(stats.converted);
   EXPECT_EQ(stats.phis, 0);
   EXPECT_EQ(phi_count(b.k), 0);
@@ -284,7 +286,8 @@ TEST(SsaConstruct, FoldsCopiesIntoRename) {
   b.emit(Opcode::kExit, VType::kI32);
 
   const std::int32_t before = b.size();
-  ssa::ConstructStats stats = ssa::construct(b.k);
+  Analyses a(b.k);
+  ssa::ConstructStats stats = ssa::construct(b.k, a);
   EXPECT_TRUE(stats.converted);
   EXPECT_GE(stats.copies_folded, 1);
   EXPECT_EQ(b.size(), before - stats.copies_folded);
@@ -320,7 +323,8 @@ TEST(SsaConstruct, EntryBlockWithPredecessorsBails) {
   b.emit(Opcode::kExit, VType::kI32);
 
   const Kernel snapshot = b.k;
-  ssa::ConstructStats stats = ssa::construct(b.k);
+  Analyses a(b.k);
+  ssa::ConstructStats stats = ssa::construct(b.k, a);
   EXPECT_FALSE(stats.converted);
   EXPECT_EQ(to_string(b.k), to_string(snapshot));
 }
@@ -347,7 +351,8 @@ TEST(SsaConstruct, JoinWiderThanThreePredecessorsBails) {
   b.emit(Opcode::kExit, VType::kI32);
 
   const Kernel snapshot = b.k;
-  ssa::ConstructStats stats = ssa::construct(b.k);
+  Analyses a(b.k);
+  ssa::ConstructStats stats = ssa::construct(b.k, a);
   EXPECT_FALSE(stats.converted);
   EXPECT_EQ(to_string(b.k), to_string(snapshot));
 }
@@ -356,11 +361,13 @@ TEST(SsaConstruct, JoinWiderThanThreePredecessorsBails) {
 
 TEST(SsaDestruct, RoundTripLeavesNoPhisAndValidLabels) {
   KB b = make_loop_kernel();
-  ssa::ConstructStats cs = ssa::construct(b.k);
+  Analyses ca(b.k);
+  ssa::ConstructStats cs = ssa::construct(b.k, ca);
   ASSERT_TRUE(cs.converted);
   ASSERT_GE(phi_count(b.k), 1);
 
-  ssa::DestructStats ds = ssa::destruct(b.k);
+  Analyses da(b.k);
+  ssa::DestructStats ds = ssa::destruct(b.k, da);
   EXPECT_TRUE(ds.ok);
   EXPECT_EQ(phi_count(b.k), 0);
   EXPECT_GE(ds.copies_inserted, 1);

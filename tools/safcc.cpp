@@ -21,13 +21,12 @@
 //   safcc --workload 355.seismic --sim-profile-out=p.json
 //                                          # machine-readable attribution
 //                                          # document (safara.sim_profile/v1)
-#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <algorithm>
 #include <fstream>
 #include <map>
-#include <optional>
+#include <span>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -39,7 +38,6 @@
 #include "driver/sim_profile.hpp"
 #include "obs/collector.hpp"
 #include "support/arena.hpp"
-#include "support/string_util.hpp"
 #include "regalloc/regalloc.hpp"
 #include "vir/vir.hpp"
 #include "workloads/harness.hpp"
@@ -47,31 +45,6 @@
 using namespace safara;
 
 namespace {
-
-void usage() {
-  std::fprintf(stderr,
-               "usage: safcc <file.acc> [--fn name] [--config base|small|small_dim|"
-               "safara|safara_clauses|pgi]\n"
-               "             [--opt-level 0|1|2] [--emit-vir] [--dump-vir] [--emit-source]\n"
-               "             [--unroll N] [--max-regs N] [--regalloc linear|color]\n"
-               "             [--spill-mem local|shared|auto]\n"
-               "             [--verify-clauses] [--trace-out=FILE] [--metrics-out=FILE]\n"
-               "             [--time-passes] [--alloc-stats] [--workload NAME] [--sim-profile]\n"
-               "             [--sim-profile-out=FILE] [--annotate]\n"
-               "             [--sim-threads N] [--sim-dispatch super|ref] [--sim-check-overlap]\n"
-               "             [--sim-compare] [--simulate]\n");
-}
-
-/// Strict integer parsing for flag values: the whole token must be a number.
-/// (std::atoi silently turns "abc" into 0, which used to disable the flag.)
-int parse_int_flag(const char* flag, const char* value) {
-  const std::optional<long long> v = parse_int_strict(value);
-  if (!v || *v < INT_MIN || *v > INT_MAX) {
-    std::fprintf(stderr, "safcc: %s expects an integer, got '%s'\n", flag, value);
-    std::exit(2);
-  }
-  return static_cast<int>(*v);
-}
 
 bool write_file(const std::string& path, const std::string& contents) {
   std::ofstream out(path);
@@ -367,6 +340,30 @@ int run_sim_compare(const workloads::Workload& w, const driver::CompiledProgram&
   return 0;
 }
 
+// -- mode rules, checked against the flags the parser saw ---------------------
+
+/// Flags whose output follows the compile report, on stdout or in a file.
+constexpr std::string_view kOutputFlags[] = {
+    "--emit-vir", "--emit-source", "--time-passes", "--alloc-stats", "--trace-out",
+    "--metrics-out", "--simulate", "--sim-profile", "--sim-profile-out", "--annotate",
+};
+
+/// Flags that launch the input, so it needs a dataset: a workload's.
+constexpr std::string_view kLaunchFlags[] = {
+    "--simulate", "--sim-profile", "--sim-profile-out", "--annotate", "--sim-compare",
+};
+
+/// `kOutputFlags` and `other`.
+std::vector<std::string_view> outputs_and(std::string_view other) {
+  std::vector<std::string_view> refused(std::begin(kOutputFlags), std::end(kOutputFlags));
+  refused.push_back(other);
+  return refused;
+}
+
+bool contains(std::span<const std::string_view> names, std::string_view name) {
+  return std::find(names.begin(), names.end(), name) != names.end();
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -391,127 +388,70 @@ int main(int argc, char** argv) {
   bool verify = false;
   driver::RunOptions run;
 
-  for (int i = 1; i < argc; ++i) {
-    if (driver::parse_run_flag("safcc", argc, argv, i, run)) continue;
-    std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "safcc: missing value for '%s'\n", arg.c_str());
-        usage();
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    // Accept both `--flag value` and `--flag=value` for valued options.
-    auto eat_value = [&](std::string_view flag, std::string* out) -> bool {
-      if (arg == flag) {
-        *out = next();
-        return true;
-      }
-      if (arg.size() > flag.size() + 1 && arg.compare(0, flag.size(), flag) == 0 &&
-          arg[flag.size()] == '=') {
-        *out = arg.substr(flag.size() + 1);
-        return true;
-      }
-      return false;
-    };
-    std::string value;
-    if (eat_value("--fn", &fn_name)) continue;
-    if (eat_value("--config", &config)) continue;
-    if (eat_value("--workload", &workload_name)) continue;
-    if (eat_value("--trace-out", &trace_out)) continue;
-    if (eat_value("--metrics-out", &metrics_out)) continue;
-    if (eat_value("--sim-profile-out", &sim_profile_out)) continue;
-    if (eat_value("--unroll", &value)) {
-      unroll = parse_int_flag("--unroll", value.c_str());
-      continue;
-    }
-    if (eat_value("--max-regs", &value)) {
-      max_regs = parse_int_flag("--max-regs", value.c_str());
-      continue;
-    }
-    if (arg == "--emit-vir") emit_vir = true;
-    else if (arg == "--dump-vir") dump_vir = true;
-    else if (arg == "--emit-source") emit_source = true;
-    else if (arg == "--verify-clauses") verify = true;
-    else if (arg == "--time-passes") time_passes = true;
-    else if (arg == "--alloc-stats") alloc_stats = true;
-    else if (arg == "--sim-profile") sim_profile = true;
-    else if (arg == "--sim-compare") sim_compare = true;
-    else if (arg == "--annotate") annotate = true;
-    else if (arg == "--simulate") simulate = true;
-    else if (arg == "--help" || arg == "-h") {
-      usage();
-      return 0;
-    } else if (!arg.empty() && arg[0] == '-') {
-      std::fprintf(stderr, "safcc: unknown option '%s'\n", arg.c_str());
-      usage();
-      return 2;
-    } else {
-      path = arg;
-    }
-  }
-  if (path.empty() == workload_name.empty()) {
-    std::fprintf(stderr, "safcc: expected exactly one input (<file.acc> or --workload NAME)\n");
-    usage();
-    return 2;
-  }
-  // The dump is alone on stdout (tools/update_golden.py captures it
-  // verbatim), so it refuses every flag whose output it would drop.
-  if (dump_vir) {
-    const std::pair<bool, const char*> dropped[] = {
-        {emit_vir, "--emit-vir"},
-        {emit_source, "--emit-source"},
-        {time_passes, "--time-passes"},
-        {alloc_stats, "--alloc-stats"},
-        {!trace_out.empty(), "--trace-out"},
-        {!metrics_out.empty(), "--metrics-out"},
-        {simulate, "--simulate"},
-        {sim_profile, "--sim-profile"},
-        {!sim_profile_out.empty(), "--sim-profile-out"},
-        {annotate, "--annotate"},
-        {sim_compare, "--sim-compare"},
-    };
-    for (const auto& [set, flag] : dropped) {
-      if (set) {
-        std::fprintf(stderr, "safcc: --dump-vir cannot be combined with %s\n", flag);
-        return 2;
-      }
-    }
-  }
-  // Every attribution view needs dynamic data, i.e. a simulated launch.
-  const bool profiling = sim_profile || annotate || !sim_profile_out.empty();
-  if (profiling && workload_name.empty()) {
-    std::fprintf(stderr,
-                 "safcc: --sim-profile/--annotate/--sim-profile-out need a runnable "
-                 "input; use --workload NAME "
-                 "(a file alone has no dataset to launch with)\n");
-    return 2;
-  }
-  if (sim_compare && workload_name.empty()) {
-    std::fprintf(stderr,
-                 "safcc: --sim-compare needs a runnable input; use --workload NAME "
-                 "(a file alone has no dataset to launch with)\n");
-    return 2;
-  }
-  if (simulate && workload_name.empty()) {
-    std::fprintf(stderr,
-                 "safcc: --simulate needs a runnable input; use --workload NAME "
-                 "(a file alone has no dataset to launch with)\n");
-    return 2;
-  }
+  std::vector<std::string_view> workload_names;
+  for (const workloads::Workload& w : workloads::all_workloads()) workload_names.push_back(w.name);
+  driver::Command cmd{
+      .prog = "safcc",
+      .synopsis = "<file.acc> | --workload NAME [flags]",
+      .flags = {
+          driver::text_flag("--fn", "a function name", fn_name),
+          driver::choice_flag("--config", driver::config_names(), config),
+          driver::choice_flag("--workload", workload_names, workload_name),
+          driver::switch_flag("--emit-vir", emit_vir),
+          driver::switch_flag("--dump-vir", dump_vir),
+          driver::switch_flag("--emit-source", emit_source),
+          driver::int_flag("--unroll", unroll),
+          driver::int_flag("--max-regs", max_regs),
+          driver::switch_flag("--verify-clauses", verify),
+          driver::text_flag("--trace-out", "a file name", trace_out),
+          driver::text_flag("--metrics-out", "a file name", metrics_out),
+          driver::switch_flag("--time-passes", time_passes),
+          driver::switch_flag("--alloc-stats", alloc_stats),
+          driver::switch_flag("--simulate", simulate),
+          driver::switch_flag("--sim-profile", sim_profile),
+          driver::text_flag("--sim-profile-out", "a file name", sim_profile_out),
+          driver::switch_flag("--annotate", annotate),
+          driver::switch_flag("--sim-compare", sim_compare),
+      },
+      .operand = &path,
+      .epilogue = "",
+  };
+  for (driver::Flag& flag : driver::run_flags(run)) cmd.flags.push_back(std::move(flag));
+  const std::vector<std::string_view> seen = driver::parse_flags(cmd, argc, argv);
 
-  std::optional<driver::CompilerOptions> named = driver::named_config(config, run.compiler);
-  if (!named) {
-    std::fprintf(stderr, "safcc: unknown config '%s'\n", config.c_str());
-    std::fprintf(stderr, "       available:");
-    for (std::string_view name : driver::config_names()) {
-      std::fprintf(stderr, " %.*s", static_cast<int>(name.size()), name.data());
+  if (path.empty() == workload_name.empty()) {
+    driver::usage_error(cmd, "expected exactly one input (<file.acc> or --workload NAME)");
+  }
+  // --dump-vir's stdout is the dump alone (tools/update_golden.py captures it
+  // verbatim) and --sim-compare's is its verdict alone, so each refuses every
+  // flag whose output it would drop. --fn picks a function of a file input.
+  const std::pair<std::string_view, std::vector<std::string_view>> refusals[] = {
+      {"--dump-vir", outputs_and("--sim-compare")},
+      {"--sim-compare", outputs_and("--dump-vir")},
+      {"--workload", {"--fn"}},
+  };
+  for (const auto& [mode, refused] : refusals) {
+    if (!contains(seen, mode)) continue;
+    for (std::string_view flag : seen) {
+      if (!contains(refused, flag)) continue;
+      std::fprintf(stderr, "safcc: %.*s cannot be combined with %.*s\n",
+                   static_cast<int>(mode.size()), mode.data(), static_cast<int>(flag.size()),
+                   flag.data());
+      return 2;
     }
-    std::fprintf(stderr, "\n");
+  }
+  for (std::string_view flag : seen) {
+    if (!contains(kLaunchFlags, flag) || !workload_name.empty()) continue;
+    std::fprintf(stderr,
+                 "safcc: %.*s needs a runnable input; use --workload NAME "
+                 "(a file alone has no dataset to launch with)\n",
+                 static_cast<int>(flag.size()), flag.data());
     return 2;
   }
-  driver::CompilerOptions opts = std::move(*named);
+  // The attribution views, each read from a simulated launch's profile.
+  const bool profiling = sim_profile || annotate || !sim_profile_out.empty();
+
+  driver::CompilerOptions opts = *driver::named_config(config, run.compiler);
   if (unroll > 1) {
     opts.enable_unroll = true;
     opts.unroll.factor = unroll;
@@ -533,15 +473,6 @@ int main(int argc, char** argv) {
   try {
     if (!workload_name.empty()) {
       const workloads::Workload* w = workloads::find_workload(workload_name);
-      if (!w) {
-        std::fprintf(stderr, "safcc: unknown workload '%s'\n", workload_name.c_str());
-        std::fprintf(stderr, "       available:");
-        for (const workloads::Workload& cand : workloads::all_workloads()) {
-          std::fprintf(stderr, " %s", cand.name.c_str());
-        }
-        std::fprintf(stderr, "\n");
-        return 2;
-      }
       input_label = w->name;
       source_text = w->source;
       driver::Compiler compiler(opts, observing ? &collector : nullptr);
