@@ -1,7 +1,5 @@
 #include "analysis/access.hpp"
 
-#include <unordered_set>
-
 namespace safara::analysis {
 
 using ast::ArrayRef;
@@ -68,43 +66,15 @@ class AccessCollector {
     if (!region_.scheduled_loops.empty()) {
       result_.vector_iv = region_.scheduled_loops.back()->iv_symbol;
     }
-    collect_written(*region_.loop);
     walk_stmt(*region_.loop);
     for (AccessInfo& a : result_.accesses) {
-      bool written = written_.count(a.array) != 0;
-      a.space = (a.array->is_const || !written) ? MemSpace::kGlobalRO : MemSpace::kGlobalRW;
+      a.space = region_.read_only(*a.array) ? MemSpace::kGlobalRO : MemSpace::kGlobalRW;
       a.coalescing = classify_coalescing(a.subscripts, result_.vector_iv);
     }
     return std::move(result_);
   }
 
  private:
-  void collect_written(const Stmt& s) {
-    switch (s.kind) {
-      case StmtKind::kAssign: {
-        const auto& a = s.as<AssignStmt>();
-        if (a.lhs->kind == ExprKind::kArrayRef) {
-          written_.insert(a.lhs->as<ArrayRef>().symbol);
-        }
-        break;
-      }
-      case StmtKind::kBlock:
-        for (const ast::StmtPtr& c : s.as<BlockStmt>().stmts) collect_written(*c);
-        break;
-      case StmtKind::kFor:
-        collect_written(*s.as<ForStmt>().body);
-        break;
-      case StmtKind::kIf: {
-        const auto& i = s.as<IfStmt>();
-        collect_written(*i.then_block);
-        if (i.else_block) collect_written(*i.else_block);
-        break;
-      }
-      default:
-        break;
-    }
-  }
-
   void record(ArrayRef& ref, bool is_write) {
     AccessInfo info;
     info.ref = &ref;
@@ -194,7 +164,6 @@ class AccessCollector {
 
   const sema::OffloadRegion& region_;
   RegionAccesses result_;
-  std::unordered_set<const Symbol*> written_;
   std::vector<const ForStmt*> loop_stack_;
   int cond_depth_ = 0;
 };

@@ -105,7 +105,6 @@ class KernelBuilder {
   }
 
   CodegenResult run() {
-    collect_written_arrays(*region_.loop);
     for (ast::ForStmt* loop : region_.scheduled_loops) {
       scheduled_ivs_.insert(loop->iv_symbol);
     }
@@ -310,42 +309,12 @@ class KernelBuilder {
 
   // -- region pre-analysis -----------------------------------------------------
 
-  void collect_written_arrays(const Stmt& s) {
-    switch (s.kind) {
-      case StmtKind::kAssign: {
-        const auto& a = s.as<AssignStmt>();
-        if (a.lhs->kind == ExprKind::kArrayRef) {
-          written_.insert(a.lhs->as<ArrayRef>().symbol);
-        }
-        break;
-      }
-      case StmtKind::kBlock:
-        for (const ast::StmtPtr& c : s.as<BlockStmt>().stmts) collect_written_arrays(*c);
-        break;
-      case StmtKind::kFor:
-        collect_written_arrays(*s.as<ForStmt>().body);
-        break;
-      case StmtKind::kIf: {
-        const auto& i = s.as<IfStmt>();
-        collect_written_arrays(*i.then_block);
-        if (i.else_block) collect_written_arrays(*i.else_block);
-        break;
-      }
-      default:
-        break;
-    }
-  }
-
   void build_dim_group_reps() {
     for (const Symbol& sym : info_.symbols) {
       if (sym.dim_group >= 0 && !dim_group_rep_.count(sym.dim_group)) {
         dim_group_rep_.emplace(sym.dim_group, &sym);
       }
     }
-  }
-
-  bool read_only_in_region(const Symbol& sym) const {
-    return sym.is_const || written_.count(&sym) == 0;
   }
 
   // -- version bookkeeping (loop-entry "phi" bumps) -----------------------------
@@ -633,7 +602,7 @@ class KernelBuilder {
   std::uint32_t gen_load(const ArrayRef& ref) {
     std::uint32_t addr = gen_address(ref);
     VType t = vtype_of(ref.symbol->type);
-    std::uint8_t flags = read_only_in_region(*ref.symbol) ? Instr::kFlagReadOnly : 0;
+    std::uint8_t flags = region_.read_only(*ref.symbol) ? Instr::kFlagReadOnly : 0;
 
     if (opts_.cse_loads_within_stmt) {
       VNKey key{};
@@ -1029,7 +998,6 @@ class KernelBuilder {
   std::vector<int> vreg_version_depth_;
   std::unordered_map<const Symbol*, std::uint32_t> var_reg_;
   std::unordered_map<std::string, std::int64_t> param_index_;
-  std::unordered_set<const Symbol*> written_;
   std::unordered_set<const Symbol*> scheduled_ivs_;
   std::unordered_map<int, const Symbol*> dim_group_rep_;
   std::uint64_t stmt_counter_ = 0;

@@ -208,17 +208,17 @@ codegen::CodegenOptions Compiler::codegen_options() const {
 }
 
 CompiledProgram Compiler::compile(std::string_view source, const std::string& fn_name) {
-  DiagnosticEngine diags;
   // The parsed program only lives until the selected function has been
   // cloned into the CompiledProgram's arena, so it bump-allocates from a
-  // scratch arena the next compile re-uses wholesale. `program` is declared
-  // after `parse_arena_` was reset and is destroyed before the next reset.
-  parse_arena_.reset();
+  // scratch arena of its own. Declared before `program` so the parsed tree
+  // dies first.
+  support::Arena parse_arena;
+  DiagnosticEngine diags;
   ast::Program program;
   {
     obs::ScopedSpan span(obs::tracer_of(collector_), "frontend.parse", "frontend");
     span.set_arg("bytes", obs::json::Value(static_cast<std::int64_t>(source.size())));
-    support::ArenaScope scope(parse_arena_);
+    support::ArenaScope scope(parse_arena);
     program = parse::parse_source(source, diags);
   }
   if (!diags.ok()) {

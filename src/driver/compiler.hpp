@@ -182,12 +182,6 @@ class Compiler {
 
   CompilerOptions opts_;
   obs::Collector* collector_ = nullptr;
-  // Scratch arena for the front-end AST of compile(source): the parsed
-  // program is discarded once the selected function has been cloned into the
-  // CompiledProgram's own arena, so each compile resets and re-uses these
-  // chunks wholesale (one Compiler must not run concurrent compiles — it
-  // never has been safe to: the collector and options are shared too).
-  support::Arena parse_arena_;
 };
 
 }  // namespace safara::driver

@@ -94,7 +94,7 @@ std::vector<Flag> run_flags(RunOptions& run) {
        [&run](std::string_view value) {
          return regalloc::parse_strategy(value, run.compiler.regalloc.strategy);
        }},
-      {"--spill-mem", "'local', 'shared', or 'auto'",
+      {"--spill-mem", "'local' or 'auto'",
        [&run](std::string_view value) {
          return regalloc::parse_spill_mem(value, run.compiler.regalloc.spill_mem);
        }},
@@ -116,6 +116,7 @@ void usage_error(const Command& cmd, std::string_view message) {
 
 std::vector<std::string_view> parse_flags(const Command& cmd, int argc, char** argv) {
   std::vector<std::string_view> seen;
+  bool have_operand = false;
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
     if (arg == "--help" || arg == "-h") {
@@ -136,7 +137,9 @@ std::vector<std::string_view> parse_flags(const Command& cmd, int argc, char** a
     }
     if (!flag) {
       if (cmd.operand && !arg.starts_with('-')) {
+        if (have_operand) usage_error(cmd, "unexpected second input '" + std::string(arg) + "'");
         *cmd.operand = arg;
+        have_operand = true;
         continue;
       }
       usage_error(cmd, "unknown argument '" + std::string(arg) + "'");

@@ -15,6 +15,7 @@
 // with exit status 2:
 //   <prog>: unknown argument '...'           (then the usage)
 //   <prog>: missing value for '--flag'       (then the usage)
+//   <prog>: unexpected second input '...'    (then the usage)
 //   <prog>: --flag expects ..., got '...'
 #pragma once
 
@@ -70,8 +71,8 @@ struct Command {
   const char* prog;           // prefixes every message: "safcc"
   std::string_view synopsis;  // the usage line after the name
   std::vector<Flag> flags;    // in usage order
-  /// Takes an argument that is no flag (the last one wins); when null, such
-  /// an argument is unknown.
+  /// Takes the one argument that is no flag; a second one is a usage error.
+  /// When null, such an argument is unknown.
   std::string* operand = nullptr;
   std::string epilogue;  // printed after the flag list, when not empty
 };

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "support/arena.hpp"
-
 namespace safara::obs {
 
 json::Value SmProfile::to_json() const {
@@ -106,29 +104,6 @@ json::Value Collector::report() const {
   v["metrics"] = metrics.to_json();
   if (!sim_profiles.empty()) v["sim"] = sim_to_json();
   return v;
-}
-
-void Collector::record_alloc_stats() {
-  const support::GlobalAllocStats s = support::global_alloc_stats();
-  // The registry counters mirror the (monotonic) global snapshot exactly:
-  // only the delta since the last publication is added.
-  metrics.add("alloc.arena_bytes_peak",
-              static_cast<std::int64_t>(s.arena_bytes_peak - alloc_peak_published_));
-  metrics.add("alloc.arena_resets",
-              static_cast<std::int64_t>(s.arena_resets - alloc_resets_published_));
-  metrics.add("alloc.heap_fallbacks",
-              static_cast<std::int64_t>(s.heap_fallbacks - alloc_fallbacks_published_));
-  alloc_peak_published_ = s.arena_bytes_peak;
-  alloc_resets_published_ = s.arena_resets;
-  alloc_fallbacks_published_ = s.heap_fallbacks;
-  // Counter-track samples live on the wall-clock timeline (pid 1, like the
-  // pass spans) rather than the simulator's virtual-cycle tracks (pid 2).
-  const std::int64_t ts = tracer.now_us();
-  tracer.add_counter("alloc.arena_bytes_peak", ts,
-                     static_cast<double>(s.arena_bytes_peak), 1);
-  tracer.add_counter("alloc.arena_resets", ts, static_cast<double>(s.arena_resets), 1);
-  tracer.add_counter("alloc.heap_fallbacks", ts, static_cast<double>(s.heap_fallbacks),
-                     1);
 }
 
 }  // namespace safara::obs

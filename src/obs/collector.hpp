@@ -111,20 +111,6 @@ class Collector {
 
   /// The combined metrics + simulator document `--metrics-out` writes.
   json::Value report() const;
-
-  /// Snapshots the process-wide arena counters (support/arena.hpp) into the
-  /// alloc.{arena_bytes_peak,arena_resets,heap_fallbacks} metrics and one
-  /// wall-clock counter-track sample each, so traces show allocator behavior
-  /// alongside the pass timeline (tests/test_obs.cpp requires the
-  /// alloc.arena_bytes_peak track). Idempotent: repeated calls re-publish
-  /// the latest snapshot, they never double-count.
-  void record_alloc_stats();
-
- private:
-  // Last-published alloc.* values; record_alloc_stats() adds only the delta.
-  std::uint64_t alloc_peak_published_ = 0;
-  std::uint64_t alloc_resets_published_ = 0;
-  std::uint64_t alloc_fallbacks_published_ = 0;
 };
 
 /// Null-safe accessors so call sites can write

@@ -76,15 +76,15 @@ class Tracer {
   /// Aggregated wall-time table per span name, largest first.
   std::string time_report() const;
 
+ private:
   /// Microseconds since this tracer's epoch — the timestamp base of every
-  /// span, for callers placing counter samples on the wall-clock timeline.
+  /// span.
   std::int64_t now_us() const {
     return std::chrono::duration_cast<std::chrono::microseconds>(
                std::chrono::steady_clock::now() - epoch_)
         .count();
   }
 
- private:
   std::chrono::steady_clock::time_point epoch_;
   std::vector<TraceSpan> spans_;
   std::vector<CounterEvent> counters_;

@@ -83,7 +83,6 @@ bool parse_strategy(std::string_view text, Strategy& out) {
 const char* to_string(SpillMem m) {
   switch (m) {
     case SpillMem::kLocal: return "local";
-    case SpillMem::kShared: return "shared";
     case SpillMem::kAuto: return "auto";
   }
   return "?";
@@ -92,10 +91,6 @@ const char* to_string(SpillMem m) {
 bool parse_spill_mem(std::string_view text, SpillMem& out) {
   if (text == "local") {
     out = SpillMem::kLocal;
-    return true;
-  }
-  if (text == "shared") {
-    out = SpillMem::kShared;
     return true;
   }
   if (text == "auto") {

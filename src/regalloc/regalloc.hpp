@@ -107,9 +107,8 @@ bool parse_strategy(std::string_view text, Strategy& out);
 
 /// Where spilled values live (src/regalloc/regdem.hpp implements the pass).
 enum class SpillMem : std::uint8_t {
-  kLocal = 0,   // every spill slot in L1-cached local memory (pre-RegDem)
-  kShared = 1,  // demote as many slots as the shared budget admits
-  kAuto = 2,    // demote hottest-first while occupancy is preserved (RegDem)
+  kLocal = 0,  // every spill slot in L1-cached local memory (pre-RegDem)
+  kAuto = 1,   // demote hottest-first while occupancy is preserved (RegDem)
 };
 
 const char* to_string(SpillMem m);

@@ -61,13 +61,10 @@ RegDemReport demote_spill_slots(const Kernel& kernel, AllocationResult& alloc,
 
   // Hottest-first admission: each demotion re-runs the occupancy calculation
   // with the tentative per-block shared footprint and the pass stops at the
-  // first slot the budget cannot absorb. kAuto refuses to lower the
-  // resident-block count below the no-shared baseline; kShared only refuses
-  // to make the kernel unlaunchable.
-  const vgpu::Occupancy baseline =
-      vgpu::compute_occupancy(spec, alloc.regs_used, threads_per_block, 0);
+  // first slot that would lower the resident-block count below the
+  // no-shared baseline.
   const int floor_blocks =
-      opts.spill_mem == SpillMem::kAuto ? baseline.blocks_per_sm : 1;
+      vgpu::compute_occupancy(spec, alloc.regs_used, threads_per_block, 0).blocks_per_sm;
 
   std::vector<char> demote(nv, 0);
   std::vector<int> shared_slot(nv, -1);

@@ -8,9 +8,7 @@
 // (accesses x 10^loop_depth, the coloring allocator's spill cost) and
 // demoted hottest-first; each admission re-runs vgpu::compute_occupancy
 // with the candidate per-block shared footprint and stops as soon as the
-// footprint would lower the kernel's resident-block count (SpillMem::kAuto)
-// or make it unlaunchable (SpillMem::kShared, which otherwise demotes
-// everything).
+// footprint would lower the kernel's resident-block count (SpillMem::kAuto).
 //
 // The pass mutates the AllocationResult in place: demoted slots move into a
 // warp-interleaved shared frame (lane l of a slot at byte

@@ -277,6 +277,7 @@ class FunctionAnalyzer {
           if (sym && sym->is_const) {
             diags_.error(a.loc, "cannot assign to const array '" + sym->name + "'");
           }
+          if (sym && offload_depth > 0) region_assigned_.insert(sym);
         }
         break;
       }
@@ -482,6 +483,8 @@ class FunctionAnalyzer {
   void discover_region(ForStmt& top) {
     OffloadRegion region;
     region.loop = &top;
+    region.assigned_arrays = std::move(region_assigned_);
+    region_assigned_.clear();
     collect_scheduled(top, region, /*outer_is_scheduled=*/false);
     if (region.scheduled_loops.size() > 3) {
       diags_.error(top.loc, "at most 3 scheduled (gang/vector) loop dimensions are supported");
@@ -557,6 +560,9 @@ class FunctionAnalyzer {
   DiagnosticEngine& diags_;
   std::vector<std::unordered_map<std::string, Symbol*>> scopes_;
   int next_dim_group_ = 0;
+  /// Arrays assigned so far in the offload region being walked; regions do
+  /// not nest, so discover_region hands the set to the region it closes.
+  std::unordered_set<const Symbol*> region_assigned_;
 };
 
 }  // namespace

@@ -9,6 +9,7 @@
 
 #include <deque>
 #include <memory>
+#include <unordered_set>
 #include <vector>
 
 #include "ast/decl.hpp"
@@ -24,6 +25,16 @@ struct OffloadRegion {
   /// The parallel (gang/vector) loops of the nest, outermost first. The
   /// innermost entry maps to the x dimension of the launch configuration.
   std::vector<ast::ForStmt*> scheduled_loops;
+  /// Every array an assignment inside the nest writes.
+  std::unordered_set<const Symbol*> assigned_arrays;
+
+  /// The paper's memory-space rule (Section III-B): an array is read-only in
+  /// the region when it is declared const or nothing in the region assigns
+  /// it. Codegen sends such loads through the read-only cache and SAFARA's
+  /// cost model prices them at the read-only latency, both by this answer.
+  bool read_only(const Symbol& array) const {
+    return array.is_const || !assigned_arrays.contains(&array);
+  }
 };
 
 /// Analysis results for one function. Owns the symbols; AST nodes hold

@@ -1,7 +1,6 @@
 #include "support/arena.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cstring>
 #include <new>
 
@@ -18,45 +17,18 @@ namespace safara::support {
 
 namespace {
 
-std::atomic<std::uint64_t> g_arena_bytes_peak{0};
-std::atomic<std::uint64_t> g_arena_resets{0};
-std::atomic<std::uint64_t> g_heap_fallbacks{0};
-
 thread_local Arena* t_current_arena = nullptr;  // ArenaScope's target
 
-void fold_peak(std::uint64_t peak) {
-  std::uint64_t seen = g_arena_bytes_peak.load(std::memory_order_relaxed);
-  while (peak > seen &&
-         !g_arena_bytes_peak.compare_exchange_weak(seen, peak, std::memory_order_relaxed)) {
-  }
-}
-
 }  // namespace
-
-GlobalAllocStats global_alloc_stats() {
-  GlobalAllocStats s;
-  s.arena_bytes_peak = g_arena_bytes_peak.load(std::memory_order_relaxed);
-  s.arena_resets = g_arena_resets.load(std::memory_order_relaxed);
-  s.heap_fallbacks = g_heap_fallbacks.load(std::memory_order_relaxed);
-  return s;
-}
 
 Arena::Arena(std::size_t chunk_bytes)
     : chunk_bytes_(std::max<std::size_t>(chunk_bytes, 256)) {}
 
 Arena::~Arena() {
-  publish_global();
   // ASan tracks poisoning per shadow byte; unpoison before the chunks go
   // back to the allocator so the freed pages start clean for their next
   // owner.
   for (Chunk& c : chunks_) SAFARA_UNPOISON(c.data.get(), c.cap);
-}
-
-void Arena::publish_global() const {
-  if (stats_.bytes_peak > published_peak_) {
-    fold_peak(stats_.bytes_peak);
-    published_peak_ = stats_.bytes_peak;
-  }
 }
 
 void* Arena::allocate(std::size_t size, std::size_t align) {
@@ -65,10 +37,9 @@ void* Arena::allocate(std::size_t size, std::size_t align) {
 
   // Oversize request: give it a dedicated chunk so it never splits across
   // chunks, and count the fallback — callers sizing chunks too small show
-  // up in alloc.heap_fallbacks instead of silently thrashing.
+  // up in stats().heap_fallbacks instead of silently thrashing.
   if (size + align > chunk_bytes_) {
     stats_.heap_fallbacks += 1;
-    g_heap_fallbacks.fetch_add(1, std::memory_order_relaxed);
     Chunk big;
     big.cap = size + align;
     big.data = std::make_unique<unsigned char[]>(big.cap);
@@ -125,8 +96,6 @@ void Arena::reset() {
   off_ = 0;
   stats_.bytes_live = 0;
   stats_.resets += 1;
-  g_arena_resets.fetch_add(1, std::memory_order_relaxed);
-  publish_global();
 }
 
 ArenaScope::ArenaScope(Arena& arena) : prev_(t_current_arena) { t_current_arena = &arena; }

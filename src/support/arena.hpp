@@ -32,8 +32,7 @@
 
 namespace safara::support {
 
-/// Per-arena accounting, plus the process-wide counters that feed the
-/// alloc.* metrics (`safcc --alloc-stats`, alloc.arena_bytes_peak).
+/// One arena's own accounting, read through Arena::stats().
 struct ArenaStats {
   std::size_t bytes_allocated = 0;  ///< cumulative bytes handed out (incl. re-use after reset)
   std::size_t bytes_live = 0;       ///< bytes handed out since the last reset
@@ -43,16 +42,6 @@ struct ArenaStats {
   std::size_t resets = 0;           ///< reset() calls on this arena
   std::size_t heap_fallbacks = 0;   ///< oversize requests served by a dedicated chunk
 };
-
-/// Process-wide snapshot of every arena's contribution (monotonic; arenas
-/// publish on reset and destruction, heap fallbacks immediately).
-struct GlobalAllocStats {
-  std::uint64_t arena_bytes_peak = 0;  ///< max bytes_peak over all arenas so far
-  std::uint64_t arena_resets = 0;      ///< total reset() calls process-wide
-  std::uint64_t heap_fallbacks = 0;    ///< total oversize fallbacks process-wide
-};
-
-GlobalAllocStats global_alloc_stats();
 
 class Arena {
  public:
@@ -89,14 +78,11 @@ class Arena {
     std::size_t cap = 0;
   };
 
-  void publish_global() const;
-
   std::vector<Chunk> chunks_;
   std::size_t cur_ = 0;  ///< index of the chunk currently being bumped
   std::size_t off_ = 0;  ///< bump offset within chunks_[cur_]
   std::size_t chunk_bytes_;
   ArenaStats stats_;
-  mutable std::uint64_t published_peak_ = 0;  ///< bytes_peak already folded globally
 };
 
 /// Installs `arena` as the thread's active allocation target for

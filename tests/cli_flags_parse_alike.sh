@@ -9,6 +9,7 @@ safcc=$1
 fuzz=$2
 reproduce=$3
 quickstart=$4/examples/quickstart.acc
+branchy=$4/tests/golden/branchy.acc
 status=0
 
 # expect STATUS PATTERN COMMAND...: COMMAND exits STATUS and a line of its
@@ -48,6 +49,9 @@ for bin in "$safcc" "$fuzz" "$reproduce"; do
   expect 0 "^usage: $prog " "$bin" -h
   expect 2 "^$prog: unknown argument '--bogus'$" "$bin" --bogus
 done
+
+# safcc compiles one input file; a second one is refused, not compiled instead.
+expect 2 "^safcc: unexpected second input '$branchy'$" "$safcc" "$quickstart" "$branchy" --config base
 
 # --fn picks a function of a file input; a workload names its own.
 expect 2 '^safcc: --workload cannot be combined with --fn$' \

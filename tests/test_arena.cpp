@@ -1,5 +1,5 @@
 // support::Arena tests: alignment guarantees, chunk growth, reset-reuse
-// determinism, stats/global-counter accounting, the oversize heap-fallback
+// determinism, per-arena stats accounting, the oversize heap-fallback
 // path, ArenaScope nesting, the ArenaAllocated tag header — and, under
 // AddressSanitizer, the poison-after-reset contract that turns a stale
 // pointer into a hard fault (the bug class docs/ALLOCATION.md legislates
@@ -104,30 +104,15 @@ TEST(Arena, StatsAccounting) {
 
 TEST(Arena, OversizeRequestsGetDedicatedChunks) {
   Arena arena(256);
-  const std::uint64_t global_before = global_alloc_stats().heap_fallbacks;
   auto* big = static_cast<unsigned char*>(arena.allocate(10000, 16));
   EXPECT_TRUE(aligned_to(big, 16));
   big[0] = 1;
   big[9999] = 2;  // the whole region is writable (never split across chunks)
   EXPECT_EQ(arena.stats().heap_fallbacks, 1u);
-  EXPECT_EQ(global_alloc_stats().heap_fallbacks, global_before + 1);
   // The bump path still works after a fallback, and small allocations do
   // not land inside the dedicated chunk.
   void* small = arena.allocate(16, 8);
   EXPECT_TRUE(small < big || small >= big + 10000);
-}
-
-TEST(Arena, GlobalCountersAccumulateOnResetAndDestruction) {
-  const GlobalAllocStats before = global_alloc_stats();
-  {
-    Arena arena(1024);
-    arena.allocate(500, 8);
-    arena.reset();
-    EXPECT_EQ(global_alloc_stats().arena_resets, before.arena_resets + 1);
-    EXPECT_GE(global_alloc_stats().arena_bytes_peak, 500u);
-    arena.allocate(100, 8);
-  }  // destruction publishes any unpublished peak
-  EXPECT_GE(global_alloc_stats().arena_bytes_peak, before.arena_bytes_peak);
 }
 
 TEST(ArenaScope, NestsAndRestores) {

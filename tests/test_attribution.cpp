@@ -20,35 +20,25 @@
 namespace safara::test {
 namespace {
 
-/// Canonical byte string of every launch profile a run produced — the
-/// document `safcc --sim-compare` diffs, including per-pc attribution rows
-/// and the per-SM occupancy timeline.
-std::string profiles_dump(const obs::Collector& c) {
-  obs::json::Value v = obs::json::Value::array();
-  for (const obs::KernelSimProfile& p : c.sim_profiles) v.push_back(p.to_json());
-  return v.dump(2);
-}
-
-workloads::RunResult run_with(const workloads::Workload& w, vgpu::SimDispatch dispatch,
-                              int threads, obs::Collector& c) {
+/// Simulates `w` under safara_clauses on one sim thread, profiling into `c`.
+workloads::RunResult run_with(const workloads::Workload& w, obs::Collector& c) {
   return workloads::simulate(w, driver::CompilerOptions::openuh_safara_clauses(), &c,
-                             {.threads = threads, .dispatch = dispatch});
+                             {.threads = 1});
 }
 
 TEST(Attribution, BitIdenticalAcrossEnginesAndThreadCounts) {
+  // The cells of the determinism matrix (tests_common.hpp) that change both
+  // the engine and the thread count: ref on several threads against super on
+  // one. The snapshot's profiles carry the per-pc rows and timelines.
   for (const workloads::Workload& w : workloads::all_workloads()) {
-    obs::Collector super1, superN, ref1, refN;
-    const workloads::RunResult r = run_with(w, vgpu::SimDispatch::kSuper, 1, super1);
-    run_with(w, vgpu::SimDispatch::kSuper, 4, superN);
-    run_with(w, vgpu::SimDispatch::kRef, 1, ref1);
-    run_with(w, vgpu::SimDispatch::kRef, 4, refN);
-
-    const std::string golden = profiles_dump(super1);
-    ASSERT_FALSE(super1.sim_profiles.empty()) << w.name;
-    EXPECT_EQ(golden, profiles_dump(superN)) << w.name << ": super 1 vs 4 threads";
-    EXPECT_EQ(golden, profiles_dump(ref1)) << w.name << ": super vs ref";
-    EXPECT_EQ(golden, profiles_dump(refN)) << w.name << ": ref 1 vs 4 threads";
-    EXPECT_GT(r.cycles, 0u) << w.name;
+    SCOPED_TRACE(w.name);
+    const SimSnapshot super1 = snapshot_workload(w, vgpu::SimDispatch::kSuper, 1);
+    ASSERT_GT(super1.launches, 0u);
+    EXPECT_GT(super1.cycles, 0u);
+    for (int threads : parallel_thread_counts()) {
+      SCOPED_TRACE("ref threads=" + std::to_string(threads));
+      expect_bit_identical(super1, snapshot_workload(w, vgpu::SimDispatch::kRef, threads));
+    }
   }
 }
 
@@ -56,7 +46,7 @@ TEST(Attribution, EveryBusyCycleClaimedByExactlyOnePc) {
   const workloads::Workload* w = workloads::find_workload("355.seismic");
   ASSERT_NE(w, nullptr);
   obs::Collector c;
-  run_with(*w, vgpu::SimDispatch::kSuper, 1, c);
+  run_with(*w, c);
   ASSERT_FALSE(c.sim_profiles.empty());
   for (const obs::KernelSimProfile& p : c.sim_profiles) {
     for (const obs::SmProfile& sm : p.sms) {
@@ -154,7 +144,7 @@ TEST(Attribution, OccupancyTimelineIsOrderedAndBounded) {
   const workloads::Workload* w = workloads::find_workload("355.seismic");
   ASSERT_NE(w, nullptr);
   obs::Collector c;
-  run_with(*w, vgpu::SimDispatch::kSuper, 1, c);
+  run_with(*w, c);
   for (const obs::KernelSimProfile& p : c.sim_profiles) {
     for (const obs::SmProfile& sm : p.sms) {
       ASSERT_FALSE(sm.warp_timeline.empty()) << p.kernel << " sm " << sm.sm;

@@ -366,7 +366,7 @@ TEST(CacheKey, OptionsFingerprintCoversAllocatorAndDevice) {
   b.regalloc.strategy = regalloc::Strategy::kLinear;
   EXPECT_NE(base, driver::options_fingerprint(b));
   b = a;
-  b.regalloc.spill_mem = regalloc::SpillMem::kShared;
+  b.regalloc.spill_mem = regalloc::SpillMem::kAuto;
   EXPECT_NE(base, driver::options_fingerprint(b));
   b = a;
   b.opt_level = 0;
@@ -443,11 +443,11 @@ TEST(RunFlags, AcceptsBothFormsAndLeavesOtherArguments) {
   run.sim.check_overlap = false;
   const std::vector<std::string> rest =
       parse_run_flags({"--regalloc", "linear", "--opt-level=1", "--fn", "f", "--sim-check-overlap",
-                       "--sim-dispatch=ref", "--sim-threads", "3", "--spill-mem", "shared"},
+                       "--sim-dispatch=ref", "--sim-threads", "3", "--spill-mem", "auto"},
                       run);
   EXPECT_EQ(rest, (std::vector<std::string>{"--fn", "f"}));
   EXPECT_EQ(run.compiler.regalloc.strategy, regalloc::Strategy::kLinear);
-  EXPECT_EQ(run.compiler.regalloc.spill_mem, regalloc::SpillMem::kShared);
+  EXPECT_EQ(run.compiler.regalloc.spill_mem, regalloc::SpillMem::kAuto);
   EXPECT_EQ(run.compiler.opt_level, 1);
   EXPECT_EQ(run.sim.threads, 3);
   EXPECT_EQ(run.sim.dispatch, vgpu::SimDispatch::kRef);

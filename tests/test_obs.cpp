@@ -319,10 +319,8 @@ TEST(ObsCompiler, MetricsReportRoundTripsThroughParser) {
   ASSERT_NE(sim, nullptr);
   ASSERT_NE(sim->find("launches"), nullptr);
 
-  // The --trace-out document, with the allocator counters safcc publishes
-  // before writing it: every event follows the Chrome trace-event schema
-  // Perfetto needs, and the pass spans and counter tracks are all there.
-  collector.record_alloc_stats();
+  // The --trace-out document: every event follows the Chrome trace-event
+  // schema Perfetto needs, and the pass spans and counter tracks are all there.
   const Value trace = collector.tracer.chrome_trace();
   const Value* events = trace.find("traceEvents");
   ASSERT_NE(events, nullptr);
@@ -350,7 +348,6 @@ TEST(ObsCompiler, MetricsReportRoundTripsThroughParser) {
   }
   EXPECT_TRUE(spans.contains("safara.iteration"));
   EXPECT_TRUE(spans.contains("regalloc"));
-  EXPECT_TRUE(tracks.contains("alloc.arena_bytes_peak"));
   EXPECT_TRUE(std::any_of(tracks.begin(), tracks.end(), [](const std::string& t) {
     return t.ends_with(".active_warps");
   })) << "no active_warps counter track";

@@ -194,6 +194,37 @@ void f(int n, float *x) {
   EXPECT_EQ(a->info->regions.size(), 2u);
 }
 
+TEST(SemaRegion, ReadOnlyIsDecidedPerRegion) {
+  // Each region records the arrays its own assignments write: `x` is written
+  // only in the first region, `y` only in the second (under an `if`), and
+  // `c` is const. An assignment outside every region counts for none.
+  auto a = analyze_ok(R"(
+void f(int n, float *x, float *y, const float *c, float *h) {
+  #pragma acc parallel loop gang vector
+  for (i = 0; i < n; i++) { x[i] = y[i] + c[i]; }
+  #pragma acc parallel loop gang vector
+  for (i = 0; i < n; i++) {
+    if (i > 0) { y[i] = x[i] * c[i]; }
+  }
+  for (i = 0; i < n; i++) { h[i] = 0.0f; }
+})");
+  ASSERT_EQ(a->info->regions.size(), 2u);
+  const sema::OffloadRegion& first = a->info->regions[0];
+  const sema::OffloadRegion& second = a->info->regions[1];
+  const sema::Symbol& x = *a->info->find_symbol("x");
+  const sema::Symbol& y = *a->info->find_symbol("y");
+  const sema::Symbol& c = *a->info->find_symbol("c");
+  const sema::Symbol& h = *a->info->find_symbol("h");
+  EXPECT_FALSE(first.read_only(x));
+  EXPECT_TRUE(first.read_only(y));
+  EXPECT_TRUE(second.read_only(x));
+  EXPECT_FALSE(second.read_only(y));
+  EXPECT_TRUE(first.read_only(c));
+  EXPECT_TRUE(second.read_only(c));
+  EXPECT_TRUE(first.read_only(h));
+  EXPECT_TRUE(second.read_only(h));
+}
+
 TEST(SemaRegion, NestedOffloadIsError) {
   analyze_err(R"(
 void f(int n, float *x) {

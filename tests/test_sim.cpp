@@ -445,35 +445,16 @@ void f(int n, const float *x, float *y) {
 // launch produces bit-identical LaunchStats, per-SM profiles, and device
 // memory.
 
-struct SimSnapshot {
-  std::string result;    // RunResult::to_json — merged LaunchStats, all fields
-  std::string profiles;  // Collector::sim_to_json — per-SM profiles per launch
-  double checksum = 0.0;
-};
-
-SimSnapshot snapshot_workload(const workloads::Workload& w, int threads) {
-  obs::Collector collector;
-  workloads::RunResult r = workloads::simulate(
-      w, driver::CompilerOptions::openuh_safara_clauses(), &collector, {.threads = threads});
-  SimSnapshot s;
-  s.result = r.to_json().dump(2);
-  s.profiles = collector.sim_to_json().dump(2);
-  s.checksum = r.checksum;
-  return s;
-}
-
 TEST(SimDeterminism, AllWorkloadsBitIdenticalAcrossThreadCounts) {
-  const int hw = static_cast<int>(std::thread::hardware_concurrency());
-  const int wide = std::max(4, hw);  // thread counts above the core count are valid
+  // The thread axis of the determinism matrix (tests_common.hpp) under the
+  // superblock engine; Attribution.BitIdenticalAcrossEnginesAndThreadCounts
+  // covers the reference engine's.
   for (const workloads::Workload& w : workloads::all_workloads()) {
     SCOPED_TRACE(w.name);
-    const SimSnapshot seq = snapshot_workload(w, 1);
-    for (int threads : {2, wide}) {
+    const SimSnapshot seq = snapshot_workload(w, vgpu::SimDispatch::kSuper, 1);
+    for (int threads : parallel_thread_counts()) {
       SCOPED_TRACE("threads=" + std::to_string(threads));
-      const SimSnapshot par = snapshot_workload(w, threads);
-      EXPECT_EQ(seq.result, par.result);
-      EXPECT_EQ(seq.profiles, par.profiles);
-      EXPECT_EQ(seq.checksum, par.checksum);  // exact: same bits, not "close"
+      expect_bit_identical(seq, snapshot_workload(w, vgpu::SimDispatch::kSuper, threads));
     }
   }
 }

@@ -1,10 +1,9 @@
 // Superblock dispatch engine tests: the static opcode classification the
 // block builder relies on, bit-identity between the superblock fast path and
-// the per-instruction reference interpreter (for every workload, at one and
-// many host threads, and for hand-assembled kernels that pin block entry and
-// warp pooling), the fast path's own metrics, and determinism of the
-// parallel evaluation grid that fans workload x config cells out over the
-// shared thread pool.
+// the per-instruction reference interpreter (for every workload, and for
+// hand-assembled kernels that pin block entry and warp pooling), the fast
+// path's own metrics, and determinism of the parallel evaluation grid that
+// fans workload x config cells out over the shared thread pool.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -73,42 +72,18 @@ TEST(SuperblockClassification, EveryOpcodeIsTerminatorOrFusable) {
 
 // -- bit-identity between the two dispatch engines ----------------------------
 
-struct SimSnapshot {
-  std::string result;    // RunResult::to_json — merged LaunchStats, all fields
-  std::string profiles;  // Collector::sim_to_json — per-SM profiles per launch
-  double checksum = 0.0;
-};
-
-SimSnapshot snapshot_workload(const workloads::Workload& w, SimDispatch dispatch,
-                              int threads) {
-  obs::Collector collector;
-  workloads::RunResult r =
-      workloads::simulate(w, driver::CompilerOptions::openuh_safara_clauses(), &collector,
-                          {.threads = threads, .dispatch = dispatch});
-  SimSnapshot s;
-  s.result = r.to_json().dump(2);
-  s.profiles = collector.sim_to_json().dump(2);
-  s.checksum = r.checksum;
-  return s;
-}
-
 TEST(SuperblockDispatch, AllWorkloadsBitIdenticalToReference) {
   // The contract from sim.hpp: kSuper is a pure dispatch optimization. Stats,
   // per-SM profiles, and output checksums must match the per-instruction
-  // reference interpreter bit for bit — for every workload, sequentially and
-  // with the SM loop spread over host threads.
-  const int hw = static_cast<int>(std::thread::hardware_concurrency());
-  const int wide = std::max(4, hw);
+  // reference interpreter bit for bit, for every workload. This test owns
+  // the engine axis of the determinism matrix (tests_common.hpp); the thread
+  // axis is SimDeterminism's and Attribution's.
   for (const workloads::Workload& w : workloads::all_workloads()) {
     SCOPED_TRACE(w.name);
     const SimSnapshot ref = snapshot_workload(w, SimDispatch::kRef, 1);
-    for (int threads : {1, wide}) {
-      SCOPED_TRACE("threads=" + std::to_string(threads));
-      const SimSnapshot super = snapshot_workload(w, SimDispatch::kSuper, threads);
-      EXPECT_EQ(ref.result, super.result);
-      EXPECT_EQ(ref.profiles, super.profiles);
-      EXPECT_EQ(ref.checksum, super.checksum);  // exact: same bits, not "close"
-    }
+    EXPECT_GT(ref.cycles, 0u);
+    EXPECT_GT(ref.launches, 0u);
+    expect_bit_identical(ref, snapshot_workload(w, SimDispatch::kSuper, 1));
   }
 }
 

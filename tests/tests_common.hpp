@@ -4,8 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "driver/compiler.hpp"
 #include "driver/reference.hpp"
@@ -79,6 +83,57 @@ inline void fill_pattern(driver::HostArray& arr, std::uint64_t seed = 12345) {
       arr.set_int(i, static_cast<std::int64_t>(s % 97));
     }
   }
+}
+
+// -- simulation determinism ---------------------------------------------------
+//
+// The contract of vgpu/sim.hpp: neither the dispatch engine nor the number of
+// host threads a launch's SMs spread over may change a bit of a result. Three
+// tests split the {ref, super} x {1, 2, 4, max(4, cores)} thread matrix, each
+// simulating every workload under safara_clauses once per cell it owns:
+//   SuperblockDispatch.AllWorkloadsBitIdenticalToReference     super@1 vs ref@1
+//   SimDeterminism.AllWorkloadsBitIdenticalAcrossThreadCounts  super@N vs super@1
+//   Attribution.BitIdenticalAcrossEnginesAndThreadCounts       ref@N vs super@1
+// Equality is transitive, so together they pin every cell to ref@1.
+
+/// What one simulation of a workload produces that the contract covers.
+struct SimSnapshot {
+  std::string result;    // RunResult::to_json — merged LaunchStats, all fields
+  std::string profiles;  // Collector::sim_to_json — per-SM profiles per launch,
+                         // per-pc attribution and occupancy timelines included
+  double checksum = 0.0;
+  std::uint64_t cycles = 0;
+  std::size_t launches = 0;  // launch profiles the collector recorded
+};
+
+inline SimSnapshot snapshot_workload(const workloads::Workload& w,
+                                     vgpu::SimDispatch dispatch, int threads) {
+  obs::Collector collector;
+  workloads::RunResult r =
+      workloads::simulate(w, driver::CompilerOptions::openuh_safara_clauses(), &collector,
+                          {.threads = threads, .dispatch = dispatch});
+  SimSnapshot s;
+  s.result = r.to_json().dump(2);
+  s.profiles = collector.sim_to_json().dump(2);
+  s.checksum = r.checksum;
+  s.cycles = r.cycles;
+  s.launches = collector.sim_profiles.size();
+  return s;
+}
+
+/// The host thread counts above one that the contract is checked at: 2, 4
+/// and max(4, cores), deduplicated (counts above the core count are valid).
+inline std::vector<int> parallel_thread_counts() {
+  const int wide = std::max(4, static_cast<int>(std::thread::hardware_concurrency()));
+  std::vector<int> counts = {2, 4, wide};
+  counts.erase(std::unique(counts.begin(), counts.end()), counts.end());
+  return counts;
+}
+
+inline void expect_bit_identical(const SimSnapshot& expected, const SimSnapshot& actual) {
+  EXPECT_EQ(expected.result, actual.result);
+  EXPECT_EQ(expected.profiles, actual.profiles);
+  EXPECT_EQ(expected.checksum, actual.checksum);  // exact: same bits, not "close"
 }
 
 }  // namespace safara::test

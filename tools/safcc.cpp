@@ -25,6 +25,7 @@
 #include <cstdlib>
 #include <algorithm>
 #include <fstream>
+#include <initializer_list>
 #include <map>
 #include <span>
 #include <sstream>
@@ -37,7 +38,6 @@
 #include "driver/run_options.hpp"
 #include "driver/sim_profile.hpp"
 #include "obs/collector.hpp"
-#include "support/arena.hpp"
 #include "regalloc/regalloc.hpp"
 #include "vir/vir.hpp"
 #include "workloads/harness.hpp"
@@ -344,8 +344,8 @@ int run_sim_compare(const workloads::Workload& w, const driver::CompiledProgram&
 
 /// Flags whose output follows the compile report, on stdout or in a file.
 constexpr std::string_view kOutputFlags[] = {
-    "--emit-vir", "--emit-source", "--time-passes", "--alloc-stats", "--trace-out",
-    "--metrics-out", "--simulate", "--sim-profile", "--sim-profile-out", "--annotate",
+    "--emit-vir", "--emit-source", "--time-passes", "--trace-out", "--metrics-out",
+    "--simulate", "--sim-profile", "--sim-profile-out", "--annotate",
 };
 
 /// Flags that launch the input, so it needs a dataset: a workload's.
@@ -353,10 +353,10 @@ constexpr std::string_view kLaunchFlags[] = {
     "--simulate", "--sim-profile", "--sim-profile-out", "--annotate", "--sim-compare",
 };
 
-/// `kOutputFlags` and `other`.
-std::vector<std::string_view> outputs_and(std::string_view other) {
+/// `kOutputFlags` and `others`.
+std::vector<std::string_view> outputs_and(std::initializer_list<std::string_view> others) {
   std::vector<std::string_view> refused(std::begin(kOutputFlags), std::end(kOutputFlags));
-  refused.push_back(other);
+  refused.insert(refused.end(), others);
   return refused;
 }
 
@@ -378,7 +378,6 @@ int main(int argc, char** argv) {
   bool dump_vir = false;
   bool emit_source = false;
   bool time_passes = false;
-  bool alloc_stats = false;
   bool sim_profile = false;
   bool sim_compare = false;
   bool annotate = false;
@@ -406,7 +405,6 @@ int main(int argc, char** argv) {
           driver::text_flag("--trace-out", "a file name", trace_out),
           driver::text_flag("--metrics-out", "a file name", metrics_out),
           driver::switch_flag("--time-passes", time_passes),
-          driver::switch_flag("--alloc-stats", alloc_stats),
           driver::switch_flag("--simulate", simulate),
           driver::switch_flag("--sim-profile", sim_profile),
           driver::text_flag("--sim-profile-out", "a file name", sim_profile_out),
@@ -424,10 +422,11 @@ int main(int argc, char** argv) {
   }
   // --dump-vir's stdout is the dump alone (tools/update_golden.py captures it
   // verbatim) and --sim-compare's is its verdict alone, so each refuses every
-  // flag whose output it would drop. --fn picks a function of a file input.
+  // flag whose output it would drop; --sim-compare also picks the dispatch
+  // engine of each of its runs itself. --fn picks a function of a file input.
   const std::pair<std::string_view, std::vector<std::string_view>> refusals[] = {
-      {"--dump-vir", outputs_and("--sim-compare")},
-      {"--sim-compare", outputs_and("--dump-vir")},
+      {"--dump-vir", outputs_and({"--sim-compare"})},
+      {"--sim-compare", outputs_and({"--dump-vir", "--sim-dispatch"})},
       {"--workload", {"--fn"}},
   };
   for (const auto& [mode, refused] : refusals) {
@@ -523,20 +522,6 @@ int main(int argc, char** argv) {
   print_emits(prog, emit_source, emit_vir);
   if (time_passes) {
     std::printf("\n%s", collector.tracer.time_report().c_str());
-  }
-  // Publish the allocator counters into whatever sinks this invocation
-  // writes: the trace's counter tracks, the metrics document, and (with
-  // --alloc-stats) a terminal summary.
-  if (observing) collector.record_alloc_stats();
-  if (alloc_stats) {
-    const support::GlobalAllocStats a = support::global_alloc_stats();
-    std::printf("\n---- allocation stats ----\n");
-    std::printf("alloc.arena_bytes_peak  %llu\n",
-                static_cast<unsigned long long>(a.arena_bytes_peak));
-    std::printf("alloc.arena_resets      %llu\n",
-                static_cast<unsigned long long>(a.arena_resets));
-    std::printf("alloc.heap_fallbacks    %llu\n",
-                static_cast<unsigned long long>(a.heap_fallbacks));
   }
   if (!trace_out.empty()) {
     if (!write_file(trace_out, collector.tracer.chrome_trace().dump(2) + "\n")) return 1;
