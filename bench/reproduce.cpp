@@ -28,9 +28,7 @@
 #include "driver/eval_grid.hpp"
 #include "driver/run_options.hpp"
 #include "obs/json.hpp"
-#include "parse/parser.hpp"
 #include "regalloc/regalloc.hpp"
-#include "sema/sema.hpp"
 #include "support/string_util.hpp"
 #include "vgpu/sim.hpp"
 #include "workloads/harness.hpp"
@@ -256,20 +254,6 @@ Report figure_report(const Figure& f, const driver::RunOptions& run) {
 // allocatable array, or arrays of unequal shape) print NA in the dim column,
 // exactly as in the paper; the best they achieve is the +small number.
 
-/// Which regions of the workload's entry function carry a dim clause.
-std::vector<bool> regions_with_dim(const Workload& w) {
-  DiagnosticEngine diags;
-  ast::Program program = parse::parse_source(w.source, diags);
-  ast::Function* fn = program.find(w.function);
-  sema::Sema sema(diags);
-  auto info = sema.analyze(*fn);
-  std::vector<bool> has_dim;
-  for (const sema::OffloadRegion& region : info->regions) {
-    has_dim.push_back(region.loop->directive && !region.loop->directive->dim_groups.empty());
-  }
-  return has_dim;
-}
-
 Report register_table(const char* name, const char* workload, const char* title,
                       bool ptxas_lines, const driver::RunOptions& run) {
   Report report;
@@ -281,14 +265,13 @@ Report register_table(const char* name, const char* workload, const char* title,
     const driver::CompiledProgram p_base = compile(CompilerOptions::openuh_base);
     const driver::CompiledProgram p_small = compile(CompilerOptions::openuh_small);
     const driver::CompiledProgram p_dim = compile(CompilerOptions::openuh_small_dim);
-    const std::vector<bool> has_dim = regions_with_dim(*w);
 
     const Table table{{"Kernels", "Base", "+small", "w dim", "Saved"}, 10};
     table.header(title);
     for (std::size_t k = 0; k < p_base.kernels.size(); ++k) {
       const int b = p_base.kernels[k].alloc.regs_used;
       const int s = p_small.kernels[k].alloc.regs_used;
-      const bool na = !has_dim[k];
+      const bool na = p_dim.kernels[k].checks.dim_groups.empty();  // no dim clause
       const int d = na ? s : p_dim.kernels[k].alloc.regs_used;
       const std::string hot = "HOT" + std::to_string(k + 1);
       table.row({hot, std::to_string(b), std::to_string(s), na ? "NA" : std::to_string(d),

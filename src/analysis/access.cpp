@@ -1,5 +1,7 @@
 #include "analysis/access.hpp"
 
+#include "ast/walk.hpp"
+
 namespace safara::analysis {
 
 using ast::ArrayRef;
@@ -90,25 +92,10 @@ class AccessCollector {
   }
 
   void walk_expr(Expr& e) {
-    switch (e.kind) {
-      case ExprKind::kArrayRef:
-        record(e.as<ArrayRef>(), /*is_write=*/false);
-        break;
-      case ExprKind::kUnary:
-        walk_expr(*e.as<ast::Unary>().operand);
-        break;
-      case ExprKind::kBinary:
-        walk_expr(*e.as<ast::Binary>().lhs);
-        walk_expr(*e.as<ast::Binary>().rhs);
-        break;
-      case ExprKind::kCall:
-        for (const ast::ExprPtr& a : e.as<ast::Call>().args) walk_expr(*a);
-        break;
-      case ExprKind::kCast:
-        walk_expr(*e.as<ast::Cast>().operand);
-        break;
-      default:
-        break;
+    if (e.kind == ExprKind::kArrayRef) {
+      record(e.as<ArrayRef>(), /*is_write=*/false);
+    } else {
+      ast::for_each_operand(e, [&](ast::ExprPtr& o) { walk_expr(*o); });
     }
   }
 

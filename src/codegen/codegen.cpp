@@ -5,6 +5,8 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include "ast/walk.hpp"
+
 namespace safara::codegen {
 
 using ast::ArrayDeclKind;
@@ -320,32 +322,13 @@ class KernelBuilder {
   // -- version bookkeeping (loop-entry "phi" bumps) -----------------------------
 
   void collect_assigned_symbols(const Stmt& s, std::unordered_set<const Symbol*>& out) {
-    switch (s.kind) {
-      case StmtKind::kAssign: {
-        const auto& a = s.as<AssignStmt>();
-        if (a.lhs->kind == ExprKind::kVarRef) out.insert(a.lhs->as<VarRef>().symbol);
-        break;
-      }
-      case StmtKind::kBlock:
-        for (const ast::StmtPtr& c : s.as<BlockStmt>().stmts) {
-          collect_assigned_symbols(*c, out);
-        }
-        break;
-      case StmtKind::kFor: {
-        const auto& f = s.as<ForStmt>();
-        out.insert(f.iv_symbol);
-        collect_assigned_symbols(*f.body, out);
-        break;
-      }
-      case StmtKind::kIf: {
-        const auto& i = s.as<IfStmt>();
-        collect_assigned_symbols(*i.then_block, out);
-        if (i.else_block) collect_assigned_symbols(*i.else_block, out);
-        break;
-      }
-      default:
-        break;
+    if (s.kind == StmtKind::kAssign) {
+      const auto& a = s.as<AssignStmt>();
+      if (a.lhs->kind == ExprKind::kVarRef) out.insert(a.lhs->as<VarRef>().symbol);
+    } else if (s.kind == StmtKind::kFor) {
+      out.insert(s.as<ForStmt>().iv_symbol);
     }
+    ast::for_each_child(s, [&](const Stmt& c) { collect_assigned_symbols(c, out); });
   }
 
   void bump_loop_carried_versions(const ForStmt& loop) {
@@ -689,37 +672,13 @@ class KernelBuilder {
     }
   }
 
-  bool subscripts_use_scheduled_iv(const ArrayRef& ref) const {
-    std::function<bool(const Expr&)> walk = [&](const Expr& e) -> bool {
-      switch (e.kind) {
-        case ExprKind::kVarRef:
-          return scheduled_ivs_.count(e.as<VarRef>().symbol) != 0;
-        case ExprKind::kUnary:
-          return walk(*e.as<ast::Unary>().operand);
-        case ExprKind::kBinary:
-          return walk(*e.as<ast::Binary>().lhs) || walk(*e.as<ast::Binary>().rhs);
-        case ExprKind::kCall: {
-          for (const ast::ExprPtr& a : e.as<ast::Call>().args) {
-            if (walk(*a)) return true;
-          }
-          return false;
-        }
-        case ExprKind::kCast:
-          return walk(*e.as<ast::Cast>().operand);
-        case ExprKind::kArrayRef: {
-          for (const ast::ExprPtr& a : e.as<ArrayRef>().indices) {
-            if (walk(*a)) return true;
-          }
-          return false;
-        }
-        default:
-          return false;
-      }
-    };
-    for (const ast::ExprPtr& idx : ref.indices) {
-      if (walk(*idx)) return true;
-    }
-    return false;
+  // Whether `e` reads a scheduled loop's iv (for an array reference: whether
+  // its subscripts do).
+  bool uses_scheduled_iv(const Expr& e) const {
+    if (e.kind == ExprKind::kVarRef) return scheduled_ivs_.count(e.as<VarRef>().symbol) != 0;
+    bool found = false;
+    ast::for_each_operand(e, [&](const Expr& o) { found = found || uses_scheduled_iv(o); });
+    return found;
   }
 
   void gen_assign(const AssignStmt& a) {
@@ -748,7 +707,7 @@ class KernelBuilder {
     bool in_parallel = !region_.scheduled_loops.empty();
     bool is_reduction_update =
         (a.op == ast::AssignOp::kAddAssign || a.op == ast::AssignOp::kSubAssign) &&
-        in_parallel && !subscripts_use_scheduled_iv(ref);
+        in_parallel && !uses_scheduled_iv(ref);
     if (is_reduction_update) {
       // OpenACC reduction semantics: every thread updates the same element,
       // so the update must be atomic.

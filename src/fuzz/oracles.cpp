@@ -7,6 +7,7 @@
 
 #include "ast/hash.hpp"
 #include "ast/printer.hpp"
+#include "ast/walk.hpp"
 #include "driver/compiler.hpp"
 #include "parse/parser.hpp"
 #include "regalloc/regalloc.hpp"
@@ -171,57 +172,32 @@ ast::Program parse_or_throw(const std::string& source) {
 }
 
 bool flip_first_binary(ast::Expr& e, ast::BinaryOp from, ast::BinaryOp to) {
-  switch (e.kind) {
-    case ast::ExprKind::kBinary: {
-      auto& b = e.as<ast::Binary>();
-      if (b.op == from) {
-        b.op = to;
-        return true;
-      }
-      return flip_first_binary(*b.lhs, from, to) ||
-             flip_first_binary(*b.rhs, from, to);
-    }
-    case ast::ExprKind::kUnary:
-      return flip_first_binary(*e.as<ast::Unary>().operand, from, to);
-    case ast::ExprKind::kCast:
-      return flip_first_binary(*e.as<ast::Cast>().operand, from, to);
-    case ast::ExprKind::kCall: {
-      for (ast::ExprPtr& a : e.as<ast::Call>().args) {
-        if (flip_first_binary(*a, from, to)) return true;
-      }
-      return false;
-    }
-    default:
-      return false;  // ArrayRef indices excluded: keep the mutant in bounds
+  if (e.kind == ast::ExprKind::kArrayRef) return false;  // keep the mutant in bounds
+  if (e.kind == ast::ExprKind::kBinary && e.as<ast::Binary>().op == from) {
+    e.as<ast::Binary>().op = to;
+    return true;
   }
+  bool flipped = false;
+  ast::for_each_operand(e, [&](ast::ExprPtr& o) {
+    flipped = flipped || flip_first_binary(*o, from, to);
+  });
+  return flipped;
 }
 
 bool flip_in_stmt(ast::Stmt& s, ast::BinaryOp from, ast::BinaryOp to) {
-  switch (s.kind) {
-    case ast::StmtKind::kBlock: {
-      for (ast::StmtPtr& c : s.as<ast::BlockStmt>().stmts) {
-        if (flip_in_stmt(*c, from, to)) return true;
-      }
-      return false;
-    }
-    case ast::StmtKind::kDecl: {
-      auto& d = s.as<ast::DeclStmt>();
-      return d.init && flip_first_binary(*d.init, from, to);
-    }
-    case ast::StmtKind::kAssign:
-      return flip_first_binary(*s.as<ast::AssignStmt>().rhs, from, to);
-    case ast::StmtKind::kFor:
-      // Loop bounds excluded: a flipped bound changes trip counts and can run
-      // out of bounds, which reports kError instead of a clean kDiverged.
-      return flip_in_stmt(*s.as<ast::ForStmt>().body, from, to);
-    case ast::StmtKind::kIf: {
-      auto& i = s.as<ast::IfStmt>();
-      if (flip_in_stmt(*i.then_block, from, to)) return true;
-      return i.else_block && flip_in_stmt(*i.else_block, from, to);
-    }
-    default:
-      return false;
+  // Only initializers and right-hand sides flip: a flipped loop bound changes
+  // trip counts and can run out of bounds, which reports kError instead of a
+  // clean kDiverged. If-conditions and assignment targets are left alone too.
+  if (s.kind == ast::StmtKind::kDecl) {
+    auto& d = s.as<ast::DeclStmt>();
+    return d.init && flip_first_binary(*d.init, from, to);
   }
+  if (s.kind == ast::StmtKind::kAssign) {
+    return flip_first_binary(*s.as<ast::AssignStmt>().rhs, from, to);
+  }
+  bool flipped = false;
+  ast::for_each_child(s, [&](ast::Stmt& c) { flipped = flipped || flip_in_stmt(c, from, to); });
+  return flipped;
 }
 
 /// The injected miscompile: the first value-position '+' becomes '-' (falling

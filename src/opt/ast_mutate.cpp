@@ -1,78 +1,27 @@
 #include "opt/ast_mutate.hpp"
 
+#include "ast/walk.hpp"
+
 namespace safara::opt {
 
 using ast::BlockStmt;
 using ast::Expr;
 using ast::ExprKind;
 using ast::ExprPtr;
-using ast::ForStmt;
-using ast::IfStmt;
 using ast::Stmt;
-using ast::StmtKind;
 
 namespace {
 
 void walk_expr_slots(ExprPtr& slot, const std::function<void(ExprPtr&)>& fn) {
   fn(slot);
-  if (!slot) return;
-  switch (slot->kind) {
-    case ExprKind::kArrayRef:
-      for (ExprPtr& idx : slot->as<ast::ArrayRef>().indices) walk_expr_slots(idx, fn);
-      break;
-    case ExprKind::kUnary:
-      walk_expr_slots(slot->as<ast::Unary>().operand, fn);
-      break;
-    case ExprKind::kBinary:
-      walk_expr_slots(slot->as<ast::Binary>().lhs, fn);
-      walk_expr_slots(slot->as<ast::Binary>().rhs, fn);
-      break;
-    case ExprKind::kCall:
-      for (ExprPtr& a : slot->as<ast::Call>().args) walk_expr_slots(a, fn);
-      break;
-    case ExprKind::kCast:
-      walk_expr_slots(slot->as<ast::Cast>().operand, fn);
-      break;
-    default:
-      break;
-  }
+  if (slot) ast::for_each_operand(*slot, [&](ExprPtr& o) { walk_expr_slots(o, fn); });
 }
 
 }  // namespace
 
 void for_each_expr_slot(Stmt& root, const std::function<void(ExprPtr&)>& fn) {
-  switch (root.kind) {
-    case StmtKind::kBlock:
-      for (ast::StmtPtr& s : root.as<BlockStmt>().stmts) for_each_expr_slot(*s, fn);
-      break;
-    case StmtKind::kDecl: {
-      auto& d = root.as<ast::DeclStmt>();
-      if (d.init) walk_expr_slots(d.init, fn);
-      break;
-    }
-    case StmtKind::kAssign: {
-      auto& a = root.as<ast::AssignStmt>();
-      walk_expr_slots(a.lhs, fn);
-      walk_expr_slots(a.rhs, fn);
-      break;
-    }
-    case StmtKind::kFor: {
-      auto& f = root.as<ForStmt>();
-      walk_expr_slots(f.init, fn);
-      walk_expr_slots(f.bound, fn);
-      for_each_expr_slot(*f.body, fn);
-      break;
-    }
-    case StmtKind::kIf: {
-      auto& i = root.as<IfStmt>();
-      walk_expr_slots(i.cond, fn);
-      for_each_expr_slot(*i.then_block, fn);
-      if (i.else_block) for_each_expr_slot(*i.else_block, fn);
-      break;
-    }
-    default:
-      break;
-  }
+  ast::for_each_expr(root, [&](ExprPtr& slot) { walk_expr_slots(slot, fn); });
+  ast::for_each_child(root, [&](Stmt& c) { for_each_expr_slot(c, fn); });
 }
 
 bool replace_expr(Stmt& root, const Expr* target, ExprPtr replacement) {
@@ -87,71 +36,31 @@ bool replace_expr(Stmt& root, const Expr* target, ExprPtr replacement) {
 }
 
 ExprPtr clone_substituting(const Expr& e, const sema::Symbol* sym, const Expr& with) {
-  if (e.kind == ExprKind::kVarRef && e.as<ast::VarRef>().symbol == sym) {
-    return with.clone();
-  }
   ExprPtr cloned = e.clone();
-  // Walk the clone and substitute in place (top node already handled above).
+  // The substituted copies are not searched, so `with` may itself read `sym`.
   std::function<void(ExprPtr&)> subst = [&](ExprPtr& slot) {
-    if (slot && slot->kind == ExprKind::kVarRef && slot->as<ast::VarRef>().symbol == sym) {
+    if (slot->kind == ExprKind::kVarRef && slot->as<ast::VarRef>().symbol == sym) {
       slot = with.clone();
+    } else {
+      ast::for_each_operand(*slot, subst);
     }
   };
-  // Reuse the slot walker by wrapping the clone in a fake statement-ish walk.
-  std::function<void(ExprPtr&)> walk = [&](ExprPtr& slot) {
-    subst(slot);
-    if (!slot) return;
-    switch (slot->kind) {
-      case ExprKind::kArrayRef:
-        for (ExprPtr& idx : slot->as<ast::ArrayRef>().indices) walk(idx);
-        break;
-      case ExprKind::kUnary:
-        walk(slot->as<ast::Unary>().operand);
-        break;
-      case ExprKind::kBinary:
-        walk(slot->as<ast::Binary>().lhs);
-        walk(slot->as<ast::Binary>().rhs);
-        break;
-      case ExprKind::kCall:
-        for (ExprPtr& a : slot->as<ast::Call>().args) walk(a);
-        break;
-      case ExprKind::kCast:
-        walk(slot->as<ast::Cast>().operand);
-        break;
-      default:
-        break;
-    }
-  };
-  walk(cloned);
+  subst(cloned);
   return cloned;
 }
 
 BlockPosition find_parent_block(Stmt& root, const Stmt* child) {
   BlockPosition result;
-  std::function<bool(Stmt&)> walk = [&](Stmt& s) -> bool {
-    switch (s.kind) {
-      case StmtKind::kBlock: {
-        auto& b = s.as<BlockStmt>();
-        for (std::size_t i = 0; i < b.stmts.size(); ++i) {
-          if (b.stmts[i].get() == child) {
-            result.block = &b;
-            result.index = i;
-            return true;
-          }
-          if (walk(*b.stmts[i])) return true;
-        }
-        return false;
+  std::function<void(Stmt&)> walk = [&](Stmt& s) {
+    if (s.kind == ast::StmtKind::kBlock) {
+      auto& b = s.as<BlockStmt>();
+      for (std::size_t i = 0; i < b.stmts.size(); ++i) {
+        if (b.stmts[i].get() == child) result = {&b, i};
       }
-      case StmtKind::kFor:
-        return walk(*s.as<ForStmt>().body);
-      case StmtKind::kIf: {
-        auto& i = s.as<IfStmt>();
-        if (walk(*i.then_block)) return true;
-        return i.else_block && walk(*i.else_block);
-      }
-      default:
-        return false;
     }
+    ast::for_each_child(s, [&](Stmt& c) {
+      if (!result.block) walk(c);
+    });
   };
   walk(root);
   return result;

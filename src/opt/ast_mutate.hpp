@@ -9,7 +9,8 @@
 namespace safara::opt {
 
 /// Visits every owning expression slot in the statement tree (so callers can
-/// replace subtrees in place).
+/// replace subtrees in place), in source order: a statement's expressions
+/// before its children's, and an expression before its operands.
 void for_each_expr_slot(ast::Stmt& root, const std::function<void(ast::ExprPtr&)>& fn);
 
 /// Replaces the node `target` (located anywhere under `root`) with

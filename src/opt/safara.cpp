@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <sstream>
 
+#include "ast/walk.hpp"
 #include "opt/scalar_replacement.hpp"
 #include "sema/sema.hpp"
 
@@ -39,37 +40,14 @@ namespace {
 // whose directive opens an offload construct, and regions cannot nest (sema
 // rejects that), so the walk does not descend into offload bodies. This is
 // exactly sema's discovery order/count without paying a full analysis.
-void count_offload_regions(const ast::BlockStmt& block, std::size_t& count);
-
-void count_offload_regions(const ast::Stmt& s, std::size_t& count) {
-  switch (s.kind) {
-    case ast::StmtKind::kBlock:
-      count_offload_regions(s.as<ast::BlockStmt>(), count);
-      break;
-    case ast::StmtKind::kFor: {
-      const auto& f = s.as<ast::ForStmt>();
-      if (f.directive && f.directive->is_offload()) {
-        ++count;
-        return;
-      }
-      if (f.body) count_offload_regions(*f.body, count);
-      break;
-    }
-    case ast::StmtKind::kIf: {
-      const auto& i = s.as<ast::IfStmt>();
-      if (i.then_block) count_offload_regions(*i.then_block, count);
-      if (i.else_block) count_offload_regions(*i.else_block, count);
-      break;
-    }
-    case ast::StmtKind::kDecl:
-    case ast::StmtKind::kAssign:
-    case ast::StmtKind::kReturn:
-      break;
+std::size_t count_offload_regions(const ast::Stmt& s) {
+  if (s.kind == ast::StmtKind::kFor) {
+    const auto& f = s.as<ast::ForStmt>();
+    if (f.directive && f.directive->is_offload()) return 1;
   }
-}
-
-void count_offload_regions(const ast::BlockStmt& block, std::size_t& count) {
-  for (const ast::StmtPtr& s : block.stmts) count_offload_regions(*s, count);
+  std::size_t count = 0;
+  ast::for_each_child(s, [&](const ast::Stmt& c) { count += count_offload_regions(c); });
+  return count;
 }
 
 }  // namespace
@@ -84,8 +62,7 @@ SafaraReport run_safara(ast::Function& fn, const RegisterFeedback& feedback,
 
   // The region count is fixed by the source; a syntactic walk discovers it
   // without the full sema analysis this pass formerly ran (and threw away).
-  std::size_t num_regions = 0;
-  if (fn.body) count_offload_regions(*fn.body, num_regions);
+  const std::size_t num_regions = fn.body ? count_offload_regions(*fn.body) : 0;
 
   for (std::size_t r = 0; r < num_regions; ++r) {
     SafaraRegionReport rr;

@@ -2,6 +2,7 @@
 
 #include <unordered_set>
 
+#include "ast/walk.hpp"
 #include "opt/ast_mutate.hpp"
 #include "sema/sema.hpp"
 
@@ -33,66 +34,36 @@ ExprPtr plus_const(ExprPtr e, std::int64_t delta) {
 }
 
 bool contains_loop_or_return(const Stmt& s) {
-  switch (s.kind) {
-    case StmtKind::kFor:
-    case StmtKind::kReturn:
-      return true;
-    case StmtKind::kBlock:
-      for (const StmtPtr& c : s.as<BlockStmt>().stmts) {
-        if (contains_loop_or_return(*c)) return true;
-      }
-      return false;
-    case StmtKind::kIf: {
-      const auto& i = s.as<ast::IfStmt>();
-      if (contains_loop_or_return(*i.then_block)) return true;
-      return i.else_block && contains_loop_or_return(*i.else_block);
-    }
-    default:
-      return false;
-  }
+  if (s.kind == StmtKind::kFor || s.kind == StmtKind::kReturn) return true;
+  bool found = false;
+  ast::for_each_child(s, [&](const Stmt& c) { found = found || contains_loop_or_return(c); });
+  return found;
+}
+
+/// Calls `fn` on `s` and on every statement under it outside nested loops.
+template <typename Fn>
+void for_each_stmt_outside_loops(Stmt& s, const Fn& fn) {
+  fn(s);
+  if (s.kind == StmtKind::kFor) return;
+  ast::for_each_child(s, [&](Stmt& c) { for_each_stmt_outside_loops(c, fn); });
 }
 
 void collect_local_decls(Stmt& s, std::unordered_set<const sema::Symbol*>& out) {
-  switch (s.kind) {
-    case StmtKind::kDecl:
-      out.insert(s.as<DeclStmt>().symbol);
-      break;
-    case StmtKind::kBlock:
-      for (StmtPtr& c : s.as<BlockStmt>().stmts) collect_local_decls(*c, out);
-      break;
-    case StmtKind::kIf: {
-      auto& i = s.as<ast::IfStmt>();
-      collect_local_decls(*i.then_block, out);
-      if (i.else_block) collect_local_decls(*i.else_block, out);
-      break;
-    }
-    default:
-      break;
-  }
+  for_each_stmt_outside_loops(s, [&](Stmt& st) {
+    if (st.kind == StmtKind::kDecl) out.insert(st.as<DeclStmt>().symbol);
+  });
 }
 
 void rename_decls(Stmt& s, const std::unordered_set<const sema::Symbol*>& locals,
                   const std::string& suffix) {
-  if (s.kind == StmtKind::kDecl) {
-    auto& d = s.as<DeclStmt>();
+  for_each_stmt_outside_loops(s, [&](Stmt& st) {
+    if (st.kind != StmtKind::kDecl) return;
+    auto& d = st.as<DeclStmt>();
     if (locals.count(d.symbol)) {
       d.name += suffix;
       d.symbol = nullptr;  // rebound by the next sema run
     }
-  }
-  switch (s.kind) {
-    case StmtKind::kBlock:
-      for (StmtPtr& c : s.as<BlockStmt>().stmts) rename_decls(*c, locals, suffix);
-      break;
-    case StmtKind::kIf: {
-      auto& i = s.as<ast::IfStmt>();
-      rename_decls(*i.then_block, locals, suffix);
-      if (i.else_block) rename_decls(*i.else_block, locals, suffix);
-      break;
-    }
-    default:
-      break;
-  }
+  });
 }
 
 /// Clones `src` for unroll copy `u`: the induction variable reads become
@@ -147,26 +118,14 @@ class Unroller {
                           std::vector<ForStmt*>& out) {
     bool has_inner = false;
     std::function<void(Stmt&)> walk = [&](Stmt& s) {
-      switch (s.kind) {
-        case StmtKind::kFor: {
-          has_inner = true;
-          collect_candidates(s.as<ForStmt>(), scheduled, out);
-          break;
-        }
-        case StmtKind::kBlock:
-          for (StmtPtr& c : s.as<BlockStmt>().stmts) walk(*c);
-          break;
-        case StmtKind::kIf: {
-          auto& i = s.as<ast::IfStmt>();
-          walk(*i.then_block);
-          if (i.else_block) walk(*i.else_block);
-          break;
-        }
-        default:
-          break;
+      if (s.kind == StmtKind::kFor) {
+        has_inner = true;
+        collect_candidates(s.as<ForStmt>(), scheduled, out);
+      } else {
+        ast::for_each_child(s, walk);
       }
     };
-    for (StmtPtr& s : loop.body->stmts) walk(*s);
+    ast::for_each_child(*loop.body, walk);
 
     if (has_inner || scheduled.count(&loop)) return;
     // Never unroll the region's top loop: its bounds feed the host-side

@@ -18,18 +18,6 @@ std::vector<std::string> split(std::string_view s, char sep) {
   return out;
 }
 
-std::string_view trim(std::string_view s) {
-  std::size_t b = 0;
-  std::size_t e = s.size();
-  while (b < e && std::isspace(static_cast<unsigned char>(s[b]))) ++b;
-  while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1]))) --e;
-  return s.substr(b, e - b);
-}
-
-bool starts_with(std::string_view s, std::string_view prefix) {
-  return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
-}
-
 std::optional<long long> parse_int_strict(std::string_view s) {
   if (s.empty()) return std::nullopt;
   std::string buf(s);  // strtoll needs a terminated string
@@ -40,15 +28,6 @@ std::optional<long long> parse_int_strict(std::string_view s) {
   // strtoll skips leading whitespace; the strict contract does not.
   if (std::isspace(static_cast<unsigned char>(buf[0]))) return std::nullopt;
   return v;
-}
-
-std::string join(const std::vector<std::string>& parts, std::string_view sep) {
-  std::string out;
-  for (std::size_t i = 0; i < parts.size(); ++i) {
-    if (i != 0) out += sep;
-    out += parts[i];
-  }
-  return out;
 }
 
 }  // namespace safara

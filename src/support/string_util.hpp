@@ -17,12 +17,4 @@ std::vector<std::string> split(std::string_view s, char sep);
 /// "4abc" -> 4 / "abc" -> 0 coercions are exactly what it exists to forbid.
 std::optional<long long> parse_int_strict(std::string_view s);
 
-/// Strips ASCII whitespace from both ends.
-std::string_view trim(std::string_view s);
-
-bool starts_with(std::string_view s, std::string_view prefix);
-
-/// Joins with a separator.
-std::string join(const std::vector<std::string>& parts, std::string_view sep);
-
 }  // namespace safara

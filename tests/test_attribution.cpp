@@ -151,7 +151,9 @@ TEST(Attribution, OccupancyTimelineIsOrderedAndBounded) {
       std::uint64_t prev = 0;
       bool first = true;
       for (const obs::WarpSample& s : sm.warp_timeline) {
-        if (!first) EXPECT_GT(s.cycle, prev) << p.kernel << " sm " << sm.sm;
+        if (!first) {
+          EXPECT_GT(s.cycle, prev) << p.kernel << " sm " << sm.sm;
+        }
         first = false;
         prev = s.cycle;
         EXPECT_LE(s.warps, sm.max_resident_warps) << p.kernel << " sm " << sm.sm;
@@ -170,7 +172,9 @@ TEST(Attribution, OccupancyTimelineIsOrderedAndBounded) {
     ++counter_events;
     EXPECT_NE(e.name.find("active_warps"), std::string::npos);
     auto it = last_ts.find(e.name);
-    if (it != last_ts.end()) EXPECT_GT(e.ts, it->second) << e.name;
+    if (it != last_ts.end()) {
+      EXPECT_GT(e.ts, it->second) << e.name;
+    }
     last_ts[e.name] = e.ts;
   }
   EXPECT_GT(counter_events, 0u);

@@ -50,12 +50,13 @@ int count_ops(const vir::Kernel& k, Opcode op) {
 std::set<std::string> param_names(const vir::Kernel& k, ParamInfo::Kind kind) {
   std::set<std::string> out;
   for (const ParamInfo& p : k.params) {
-    if (p.kind == kind) {
-      out.insert(p.name + (kind == ParamInfo::Kind::kDopeLb ||
-                                   kind == ParamInfo::Kind::kDopeLen
-                               ? ":" + std::to_string(p.dim)
-                               : ""));
+    if (p.kind != kind) continue;
+    std::string name = p.name;
+    if (kind == ParamInfo::Kind::kDopeLb || kind == ParamInfo::Kind::kDopeLen) {
+      name += ':';
+      name += std::to_string(p.dim);
     }
+    out.insert(name);
   }
   return out;
 }

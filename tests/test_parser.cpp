@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "ast/printer.hpp"
+#include "ast/walk.hpp"
 #include "lex/lexer.hpp"
 #include "parse/parser.hpp"
 
@@ -340,6 +345,82 @@ void f(int nx, float a[?][?], float b[?][?]) {
   #pragma acc parallel loop gang vector dim((0:nx, 0:nx))
   for (i = 0; i < nx; i++) { a[i][0] = b[i][0]; }
 })");
+}
+
+// -- the AST walk -------------------------------------------------------------
+
+const char* kind_name(StmtKind k) {
+  switch (k) {
+    case StmtKind::kBlock: return "block";
+    case StmtKind::kDecl: return "decl";
+    case StmtKind::kAssign: return "assign";
+    case StmtKind::kFor: return "for";
+    case StmtKind::kIf: return "if";
+    case StmtKind::kReturn: return "return";
+  }
+  return "?";
+}
+
+const ast::Expr& node(const ast::Expr& e) { return e; }
+ast::Expr& node(ast::ExprPtr& slot) { return *slot; }
+
+// Records every node the three walk templates hand out, and which one did.
+// `E` and `S` are const or not; the templates keep that.
+template <typename E>
+void record_expr(E& e, const char* via, std::vector<std::string>& out) {
+  out.push_back(via + ast::to_source(e));
+  ast::for_each_operand(e, [&](auto& o) { record_expr(node(o), "operand ", out); });
+}
+
+template <typename S>
+void record_stmt(S& s, std::vector<std::string>& out) {
+  ast::for_each_expr(s, [&](auto& e) { record_expr(node(e), "expr ", out); });
+  ast::for_each_child(s, [&](auto& c) {
+    out.push_back(std::string("child ") + kind_name(c.kind));
+    record_stmt(c, out);
+  });
+}
+
+TEST(AstWalk, VisitsEveryNodeInSourceOrder) {
+  auto p = parse_ok(R"(
+void f(int n, float x, float *a) {
+  float t;
+  float u = -x;
+  for (i = 0; i < n; i++) {
+    if (i < 2) {
+      a[i + 1] = float(i) * 2.5f;
+    }
+    if (x > u) {
+      t = sqrt(a[i]);
+    } else {
+      return;
+    }
+  }
+})");
+  // Grouped by statement: the statement, then its expressions, each followed
+  // by its operands.
+  const std::vector<std::string> expected = {
+      "child decl",
+      "child decl", "expr -(x)", "operand x",
+      "child for", "expr 0", "expr n",
+      "child block",
+      "child if", "expr i < 2", "operand i", "operand 2",
+      "child block",
+      "child assign", "expr a[i + 1]", "operand i + 1", "operand i", "operand 1",
+      "expr float(i) * 2.5f", "operand float(i)", "operand i", "operand 2.5f",
+      "child if", "expr x > u", "operand x", "operand u",
+      "child block",
+      "child assign", "expr t", "expr sqrt(a[i])", "operand a[i]", "operand i",
+      "child block",
+      "child return",
+  };
+  ast::BlockStmt& body = *p.functions[0]->body;
+  std::vector<std::string> visited;
+  record_stmt(std::as_const(body), visited);
+  EXPECT_EQ(visited, expected);
+  visited.clear();
+  record_stmt(body, visited);
+  EXPECT_EQ(visited, expected);
 }
 
 }  // namespace

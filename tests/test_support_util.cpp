@@ -60,12 +60,6 @@ TEST(StringUtil, Split) {
   EXPECT_EQ(split("a,,c", ','), (std::vector<std::string>{"a", "", "c"}));
 }
 
-TEST(StringUtil, Trim) {
-  EXPECT_EQ(trim("  x  "), "x");
-  EXPECT_EQ(trim("\t\n"), "");
-  EXPECT_EQ(trim("ab"), "ab");
-}
-
 TEST(StringUtil, ParseIntStrict) {
   EXPECT_EQ(parse_int_strict("42"), 42);
   EXPECT_EQ(parse_int_strict("-7"), -7);
@@ -79,13 +73,6 @@ TEST(StringUtil, ParseIntStrict) {
   EXPECT_EQ(parse_int_strict("x42"), std::nullopt);
   EXPECT_EQ(parse_int_strict("-"), std::nullopt);
   EXPECT_EQ(parse_int_strict("99999999999999999999"), std::nullopt);  // overflow
-}
-
-TEST(StringUtil, StartsWithAndJoin) {
-  EXPECT_TRUE(starts_with("ptxas info", "ptxas"));
-  EXPECT_FALSE(starts_with("pt", "ptxas"));
-  EXPECT_EQ(join({"a", "b"}, ", "), "a, b");
-  EXPECT_EQ(join({}, ", "), "");
 }
 
 // -- device memory ----------------------------------------------------------------

@@ -502,7 +502,9 @@ TEST(Regalloc, RematPrefersRecomputableValues) {
       << "every spilled value here is a constant and should rematerialize";
   ASSERT_EQ(res.remat.size(), b.k.num_vregs());
   for (std::uint32_t v = 0; v < b.k.num_vregs(); ++v) {
-    if (res.remat[v]) EXPECT_TRUE(res.spilled[v]) << "remat'd vreg " << v << " not spilled";
+    if (res.remat[v]) {
+      EXPECT_TRUE(res.spilled[v]) << "remat'd vreg " << v << " not spilled";
+    }
   }
 }
 
