@@ -410,29 +410,27 @@ PassStats run_pipeline(Kernel& k, int opt_level) {
   s.pressure_before = max_live_pressure(k, a);
   s.pressure_after = s.pressure_before;
 
-  // Each iteration: SSA in, passes, SSA out. An iteration is kept only when
-  // it performed counted optimization work, strictly shrank the kernel, and
-  // did not raise peak pressure — otherwise it is reverted wholesale and the
-  // loop stops. The strict-shrink rule bounds the loop by the kernel size
-  // and makes the pipeline a fixpoint: re-running it repeats the final
-  // (reverted) iteration deterministically and reverts it again, so the
-  // second run is byte-identical and reports zero work. `s.pressure_after`
-  // is always the pressure of the kernel as it stands between iterations.
+  // One round: SSA in, the level's passes, SSA out. The round is kept only
+  // when it performed counted optimization work, strictly shrank the kernel,
+  // and did not raise peak pressure — otherwise the kernel is restored
+  // wholesale. One round leaves nothing for a second to keep on any kernel
+  // shape the compiler emits (VirPasses.PipelineIsAFixpoint runs every
+  // config's kernels through it twice), so the pipeline is a fixpoint: a
+  // second run reverts its round, is byte-identical and reports zero work.
   //
   // A pass that reports work changed the code, so `note` marks the analyses
   // stale for their next reader; the SSA round trip, GVN and scheduling take
-  // the bundle and keep it in step themselves. A revert ends the loop, so a
-  // bundle that no longer matches the kernel is never read.
+  // the bundle and keep it in step themselves. A restored kernel is never
+  // read through the bundle again.
   auto note = [&a](int work) {
     if (work > 0) a.invalidate();
     return work;
   };
-  bool first_round = true;
-  while (opt_level > 0) {
+  if (opt_level > 0) {
     ++s.pipeline_iterations;
     const Kernel snapshot = k;
     const ssa::ConstructStats cs = ssa::construct(k, a);
-    if (first_round) s.phi_count = cs.phis;
+    s.phi_count = cs.phis;
 
     PassStats it;
     it.copyprop_removed += note(run_copy_propagation(k));
@@ -448,27 +446,22 @@ PassStats run_pipeline(Kernel& k, int opt_level) {
     }
     const int counted = it.copyprop_removed + it.gvn_hits + it.dce_removed +
                         it.strength_reduced + it.sched_moves;
-    if (counted == 0) {
-      k = snapshot;
-      break;
-    }
     ssa::DestructStats ds;
-    if (cs.converted) ds = ssa::destruct(k, a);
-    const bool shrank = ds.ok && k.code.size() < snapshot.code.size();
+    if (counted > 0 && cs.converted) ds = ssa::destruct(k, a);
+    const bool shrank = counted > 0 && ds.ok && k.code.size() < snapshot.code.size();
     const int pressure_out = shrank ? max_live_pressure(k, a) : 0;
-    if (!shrank || pressure_out > s.pressure_after) {
+    if (shrank && pressure_out <= s.pressure_before) {
+      s.pressure_after = pressure_out;
+      s.copyprop_removed = it.copyprop_removed;
+      s.gvn_hits = it.gvn_hits;
+      s.dce_removed = it.dce_removed;
+      s.strength_reduced = it.strength_reduced;
+      s.sched_moves = it.sched_moves;
+      s.ssa_copies_folded = cs.copies_folded;
+      s.phi_copies_coalesced = ds.coalesced;
+    } else {
       k = snapshot;
-      break;
     }
-    s.pressure_after = pressure_out;
-    s.copyprop_removed += it.copyprop_removed;
-    s.gvn_hits += it.gvn_hits;
-    s.dce_removed += it.dce_removed;
-    s.strength_reduced += it.strength_reduced;
-    s.sched_moves += it.sched_moves;
-    s.ssa_copies_folded += cs.copies_folded;
-    s.phi_copies_coalesced += ds.coalesced;
-    first_round = false;
   }
   s.dom_builds = a.dom_builds();
   s.liveness_runs = a.liveness_runs();

@@ -30,13 +30,13 @@ struct PassStats {
   int pressure_before = 0;    // peak live 32-bit register units pre-pipeline
   int pressure_after = 0;     // ... and post-pipeline
   // SSA bookkeeping. These are not "optimization work": the pipeline's
-  // fixpoint contract is defined over the five counters above, and an
-  // iteration that only churns SSA form (zero counted work) is reverted.
-  int phi_count = 0;            // phis placed by SSA construction (first round)
-  int ssa_copies_folded = 0;    // movs folded into SSA renaming (kept rounds)
-  int phi_copies_coalesced = 0; // phi-elimination copies coalesced (kept rounds)
-  // Work counts (deterministic, unlike time): iterations started, the
-  // final reverted one included, and the analyses they built.
+  // fixpoint contract is defined over the five counters above, and a round
+  // that only churns SSA form (zero counted work) is reverted.
+  int phi_count = 0;            // phis placed by SSA construction
+  int ssa_copies_folded = 0;    // movs folded into SSA renaming (kept round)
+  int phi_copies_coalesced = 0; // phi-elimination copies coalesced (kept round)
+  // Work counts (deterministic, unlike time): SSA rounds run, kept or
+  // reverted (one at levels 1-2, none at level 0), and the analyses built.
   int pipeline_iterations = 0;
   int dom_builds = 0;     // dominator trees built
   int liveness_runs = 0;  // block liveness dataflows run
@@ -84,11 +84,12 @@ int run_pressure_scheduling(Kernel& k, Analyses& a);
 ///   0: nothing (the seed behaviour)
 ///   1: copy propagation + DCE
 ///   2: + strength reduction, GVN, pressure scheduling
-/// At level >= 1 each iteration runs SSA construction, the passes, then SSA
-/// destruction, and repeats while an iteration both performs counted work
-/// and strictly shrinks the kernel without raising pressure; the final
-/// no-progress iteration is reverted wholesale, which is what makes the
-/// pipeline a fixpoint (running it again is byte-identical).
+/// At level >= 1 it runs one round: SSA construction, the passes, then SSA
+/// destruction. The round is kept only when it performs counted work and
+/// strictly shrinks the kernel without raising pressure, and is reverted
+/// wholesale otherwise. One round reaches the fixpoint (running the pipeline
+/// again reverts its round and is byte-identical); the tests check that on
+/// every config's kernels.
 ///
 /// One `Analyses` bundle serves the whole pipeline: after a pass reports
 /// work, the bundle re-derives block boundaries and liveness when next read,

@@ -37,7 +37,7 @@ expect 2 "^safcc: missing value for '--metrics-out'$" "$safcc" "$quickstart" --m
 expect 2 "^safcc-fuzz: missing value for '--count'$" "$fuzz" --count
 expect 2 "^reproduce: missing value for '--json'$" "$reproduce" --json=
 
-expect 2 "^safcc: --max-regs expects an integer, got 'x'$" "$safcc" "$quickstart" --max-regs=x
+expect 2 "^safcc: --max-regs expects an integer in \[1, 255\], got 'x'$" "$safcc" "$quickstart" --max-regs=x
 expect 2 "^safcc: --config expects one of base, small, small_dim, safara, safara_clauses, pgi, got 'nosuch'$" \
   "$safcc" "$quickstart" --config nosuch
 expect 2 "^safcc-fuzz: --count expects an integer in \[0, 2147483647\], got '-1'$" "$fuzz" --count=-1

@@ -1,8 +1,8 @@
 // Compiler-driver API tests: error paths, persona behaviour, multi-region
-// programs, reports, the reuse of SAFARA's last feedback compiles, the option
-// fingerprint, the shared run-flag table, and the paper-table structural
-// facts the benches rely on (seismic has 7 kernels, sp has 10, register
-// orderings hold).
+// programs, reports, the reuse of SAFARA's last feedback compiles, the pass
+// pipeline's work counts, the option fingerprint, the shared run-flag
+// table, and the paper-table structural facts the benches rely on (seismic
+// has 7 kernels, sp has 10, register orderings hold).
 #include <gtest/gtest.h>
 
 #include <map>
@@ -351,6 +351,46 @@ TEST(FeedbackReuse, CacheHitsLeaveNothingToReuse) {
   EXPECT_EQ(first.metrics.counter("driver.kernels_reused"), 7);
   EXPECT_GT(first.metrics.counter("safara.feedback_compiles"), 7);
   EXPECT_GT(first.metrics.counter("vir.pipeline_iterations"), emitted.pipeline_iterations);
+}
+
+TEST(PipelineWork, OneRoundPerBackendCompile) {
+  // Every back-end compile runs the pass pipeline once, and the pipeline
+  // runs one SSA round at level 2: the rounds are SAFARA's feedback compiles
+  // plus the emitted kernels not taken from one.
+  for (std::string_view config : driver::config_names()) {
+    for (const workloads::Workload& w : workloads::all_workloads()) {
+      SCOPED_TRACE(std::string(config) + " " + w.name);
+      const CompileWithMetrics c =
+          compile_cold(*driver::named_config(config), w.source, w.function);
+      EXPECT_EQ(c.metrics.counter("vir.pipeline_iterations"),
+                c.metrics.counter("safara.feedback_compiles") +
+                    c.metrics.counter("driver.kernels") -
+                    c.metrics.counter("driver.kernels_reused"));
+    }
+  }
+  // The analyses are built once per pipeline: on kernels whose passes empty
+  // no block, every pass of the round shares one dominator tree.
+  for (const char* name : {"355.seismic", "MG"}) {
+    const workloads::Workload* w = workloads::find_workload(name);
+    const CompileWithMetrics c =
+        compile_cold(driver::CompilerOptions::openuh_base(), w->source, w->function);
+    for (const driver::CompiledKernel& k : c.prog.kernels) {
+      EXPECT_EQ(k.vir_stats.pipeline_iterations, 1) << name << "/" << k.name;
+      EXPECT_EQ(k.vir_stats.dom_builds, 1) << name << "/" << k.name;
+    }
+  }
+  // Level 0 only measures pressure: no round, no dominator tree, one
+  // liveness run.
+  driver::CompilerOptions o0 = driver::CompilerOptions::openuh_base();
+  o0.opt_level = 0;
+  const workloads::Workload& first = workloads::all_workloads().front();
+  const CompileWithMetrics c0 = compile_cold(o0, first.source, first.function);
+  ASSERT_FALSE(c0.prog.kernels.empty());
+  for (const driver::CompiledKernel& k : c0.prog.kernels) {
+    EXPECT_EQ(k.vir_stats.pipeline_iterations, 0) << k.name;
+    EXPECT_EQ(k.vir_stats.dom_builds, 0) << k.name;
+    EXPECT_EQ(k.vir_stats.liveness_runs, 1) << k.name;
+  }
 }
 
 // -- option fingerprint ---------------------------------------------------------

@@ -313,12 +313,14 @@ TEST(CarrKennedy, SafaraDoesNotSequentialize) {
 // kernels are the richest VIR corpus in the repo, so the structural
 // invariants below run against all of them rather than hand-built inputs.
 // The pipeline properties also run on generated fuzz programs, whose
-// feature mix reaches shapes the 16 fixed kernels do not.
+// feature mix reaches shapes the 16 fixed kernels do not, and under every
+// named config, whose lowering reaches shapes `base` does not.
 
-/// Raw VIR kernels for one program: compiled at opt-level 0 so the pipeline
-/// under test sees exactly what codegen produced.
-std::vector<vir::Kernel> raw_kernels(std::string_view source, const std::string& function) {
-  driver::CompilerOptions opts = driver::CompilerOptions::openuh_base();
+/// Raw VIR kernels for one program under one named config: compiled at
+/// opt-level 0 so the pipeline under test sees exactly what codegen produced.
+std::vector<vir::Kernel> raw_kernels(std::string_view source, const std::string& function,
+                                     std::string_view config = "base") {
+  driver::CompilerOptions opts = *driver::named_config(config);
   opts.opt_level = 0;
   driver::Compiler compiler(opts);
   driver::CompiledProgram prog = compiler.compile(source, function);
@@ -332,20 +334,29 @@ std::vector<vir::Kernel> raw_kernels(const workloads::Workload& w) {
 }
 
 struct CorpusKernel {
-  std::string label;  // "<workload or fuzz seed>/<kernel>"
+  std::string label;  // "<config> <workload or fuzz seed>/<kernel>"
   vir::Kernel kernel;
 };
 
-/// The raw kernels of every workload and of fuzz seeds 1-40.
+/// The raw kernels of every workload and of fuzz seeds 1-100, under every
+/// named config: SAFARA's rotating scalars, `small`'s 32-bit offsets, `dim`'s
+/// shared dope values and PGI's statement-level load CSE each lower to
+/// shapes of their own.
 const std::vector<CorpusKernel>& pass_corpus() {
   static const std::vector<CorpusKernel> corpus = [] {
     std::vector<CorpusKernel> out;
-    for (const workloads::Workload& w : workloads::all_workloads()) {
-      for (vir::Kernel& k : raw_kernels(w)) out.push_back({w.name + "/" + k.name, std::move(k)});
-    }
-    for (std::uint64_t seed = 1; seed <= 40; ++seed) {
-      for (vir::Kernel& k : raw_kernels(fuzz::generate_program(seed), "")) {
-        out.push_back({"fuzz seed " + std::to_string(seed) + "/" + k.name, std::move(k)});
+    for (std::string_view config : driver::config_names()) {
+      const std::string prefix = std::string(config) + " ";
+      for (const workloads::Workload& w : workloads::all_workloads()) {
+        for (vir::Kernel& k : raw_kernels(w.source, w.function, config)) {
+          out.push_back({prefix + w.name + "/" + k.name, std::move(k)});
+        }
+      }
+      for (std::uint64_t seed = 1; seed <= 100; ++seed) {
+        for (vir::Kernel& k : raw_kernels(fuzz::generate_program(seed), "", config)) {
+          out.push_back({prefix + "fuzz seed " + std::to_string(seed) + "/" + k.name,
+                         std::move(k)});
+        }
       }
     }
     return out;
@@ -392,16 +403,21 @@ TEST(VirPasses, EveryPassIsIdempotent) {
 }
 
 TEST(VirPasses, PipelineIsAFixpoint) {
+  // The pipeline runs one SSA round, so it is a fixpoint only if that round
+  // leaves nothing a second round would keep: running it again must report
+  // no work and leave the kernel byte-identical.
   for (const auto& [label, raw] : pass_corpus()) {
-    vir::Kernel k = raw;
-    vir::passes::run_pipeline(k, 2);
-    const std::string once = vir::to_string(k);
-    vir::passes::PassStats again = vir::passes::run_pipeline(k, 2);
-    EXPECT_EQ(again.copyprop_removed + again.gvn_hits + again.dce_removed +
-                  again.strength_reduced + again.sched_moves,
-              0)
-        << label << ": second pipeline run found work";
-    EXPECT_EQ(vir::to_string(k), once) << label;
+    for (int level : {1, 2}) {
+      vir::Kernel k = raw;
+      vir::passes::run_pipeline(k, level);
+      const std::string once = vir::to_string(k);
+      vir::passes::PassStats again = vir::passes::run_pipeline(k, level);
+      EXPECT_EQ(again.copyprop_removed + again.gvn_hits + again.dce_removed +
+                    again.strength_reduced + again.sched_moves,
+                0)
+          << label << " at opt-level " << level << ": second pipeline run found work";
+      EXPECT_EQ(vir::to_string(k), once) << label << " at opt-level " << level;
+    }
   }
 }
 
@@ -539,31 +555,6 @@ TEST(VirPasses, GvnScopesValuesToDominators) {
     if (in.op == Opcode::kStGlobal && in.a == e) ++reads_e;
   }
   EXPECT_EQ(reads_e, 2) << vir::to_string(k);
-}
-
-TEST(VirPasses, OneDominatorTreeServesEveryIteration) {
-  // The pipeline builds its analyses once and re-derives only block
-  // boundaries and liveness as passes delete, rewrite and reorder code: on
-  // a kernel whose passes empty no block, every pass of every iteration
-  // shares one dominator tree. Rebuilding it per consumer took 5 per
-  // iteration.
-  bool multi_iteration = false;
-  for (const char* name : {"355.seismic", "MG"}) {
-    for (vir::Kernel& k : raw_kernels(*workloads::find_workload(name))) {
-      const vir::passes::PassStats s = vir::passes::run_pipeline(k, 2);
-      EXPECT_GE(s.pipeline_iterations, 1) << name << "/" << k.name;
-      EXPECT_EQ(s.dom_builds, 1) << name << "/" << k.name;
-      EXPECT_GE(s.liveness_runs, s.pipeline_iterations) << name << "/" << k.name;
-      multi_iteration = multi_iteration || s.pipeline_iterations > 1;
-    }
-  }
-  EXPECT_TRUE(multi_iteration) << "no kernel ran a second iteration";
-  // Level 0 only measures pressure: one liveness run, no dominator tree.
-  vir::Kernel k = pass_corpus().front().kernel;
-  const vir::passes::PassStats s0 = vir::passes::run_pipeline(k, 0);
-  EXPECT_EQ(s0.pipeline_iterations, 0);
-  EXPECT_EQ(s0.dom_builds, 0);
-  EXPECT_EQ(s0.liveness_runs, 1);
 }
 
 TEST(VirPasses, LevelZeroIsIdentity) {

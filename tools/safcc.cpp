@@ -399,8 +399,9 @@ int main(int argc, char** argv) {
           driver::switch_flag("--emit-vir", emit_vir),
           driver::switch_flag("--dump-vir", dump_vir),
           driver::switch_flag("--emit-source", emit_source),
-          driver::int_flag("--unroll", unroll),
-          driver::int_flag("--max-regs", max_regs),
+          driver::int_flag("--unroll", unroll, 0),
+          driver::int_flag("--max-regs", max_regs, 1,
+                           run.compiler.device.max_registers_per_thread),
           driver::switch_flag("--verify-clauses", verify),
           driver::text_flag("--trace-out", "a file name", trace_out),
           driver::text_flag("--metrics-out", "a file name", metrics_out),
